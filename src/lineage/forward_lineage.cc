@@ -147,7 +147,9 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
     const InterestSet& interest) const {
   PROVLIN_TRACE_SPAN("forward_ni/query");
   LineageAnswer answer;
-  storage::TableStats before = store_->db()->AggregateStats();
+  // This thread's counters: they cover both tiers (sealed-segment
+  // probes never reach the tables' stats) and exclude other threads.
+  storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer timer;
 
   // Resolve the query to id space once; unrecorded names have no impact.
@@ -182,10 +184,10 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
   NormalizeBindings(&answer.bindings);
   answer.timing.t2_ms = timer.ElapsedMillis();
   answer.timing.graph_steps = traversal.steps();
-  storage::TableStats after = store_->db()->AggregateStats();
-  answer.timing.trace_probes = (after.index_probes - before.index_probes) +
-                               (after.full_scans - before.full_scans);
-  answer.timing.trace_descents = after.descents - before.descents;
+  answer.timing.trace_probes =
+      storage::ThisThreadStats().probes() - before.probes();
+  answer.timing.trace_descents =
+      storage::ThisThreadStats().descents - before.descents;
   PublishTiming("forward_naive", answer.timing);
   return answer;
 }
@@ -196,11 +198,11 @@ Result<LineageAnswer> NaiveForwardLineage::Query(
 
 Result<ForwardIndexProjLineage> ForwardIndexProjLineage::Create(
     std::shared_ptr<const Dataflow> dataflow,
-    const provenance::TraceStore* store, ProbeExecution mode) {
+    const provenance::TraceStore* store) {
   PROVLIN_ASSIGN_OR_RETURN(workflow::DepthMap depths,
                            workflow::PropagateDepths(*dataflow));
   return ForwardIndexProjLineage(std::move(dataflow), std::move(depths),
-                                 store, mode);
+                                 store);
 }
 
 namespace {
@@ -429,7 +431,7 @@ Status AppendForwardProducedBindings(const provenance::TraceStore& store,
 
 }  // namespace
 
-Status ForwardIndexProjLineage::ExecutePlanBatched(
+Status ForwardIndexProjLineage::ExecutePlan(
     const ForwardPlan& plan, const std::string& run,
     std::vector<LineageBinding>* bindings) const {
   auto run_sym = store_->LookupSymbol(run);
@@ -468,34 +470,6 @@ Status ForwardIndexProjLineage::ExecutePlanBatched(
   return Status::OK();
 }
 
-Status ForwardIndexProjLineage::ExecutePlan(
-    const ForwardPlan& plan, const std::string& run,
-    std::vector<LineageBinding>* bindings) const {
-  if (mode_ == ProbeExecution::kBatched) {
-    return ExecutePlanBatched(plan, run, bindings);
-  }
-  auto run_sym = store_->LookupSymbol(run);
-  if (!run_sym.has_value()) return Status::OK();
-  for (const ForwardTraceQuery& q : plan.queries) {
-    if (q.workflow_output) {
-      PROVLIN_ASSIGN_OR_RETURN(
-          std::vector<XferRecord> rows,
-          store_->FindXfersInto(*run_sym, q.processor, q.port,
-                                q.pattern.KnownPrefix()));
-      PROVLIN_RETURN_IF_ERROR(
-          AppendForwardOutputBindings(*store_, run, q, rows, bindings));
-      continue;
-    }
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> rows,
-        store_->FindProducing(*run_sym, q.processor, q.port,
-                              q.pattern.KnownPrefix()));
-    PROVLIN_RETURN_IF_ERROR(
-        AppendForwardProducedBindings(*store_, run, q, rows, bindings));
-  }
-  return Status::OK();
-}
-
 Result<LineageAnswer> ForwardIndexProjLineage::Query(
     const std::string& run, const PortRef& target, const Index& p,
     const InterestSet& interest) {
@@ -515,16 +489,16 @@ Result<LineageAnswer> ForwardIndexProjLineage::QueryMultiRun(
   answer.timing.t1_ms = t1.ElapsedMillis();
   answer.timing.graph_steps = plan->graph_steps;
 
-  storage::TableStats before = store_->db()->AggregateStats();
+  storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer t2;
   for (const std::string& run : runs) {
     PROVLIN_RETURN_IF_ERROR(ExecutePlan(*plan, run, &answer.bindings));
   }
   answer.timing.t2_ms = t2.ElapsedMillis();
-  storage::TableStats after = store_->db()->AggregateStats();
-  answer.timing.trace_probes = (after.index_probes - before.index_probes) +
-                               (after.full_scans - before.full_scans);
-  answer.timing.trace_descents = after.descents - before.descents;
+  answer.timing.trace_probes =
+      storage::ThisThreadStats().probes() - before.probes();
+  answer.timing.trace_descents =
+      storage::ThisThreadStats().descents - before.descents;
 
   NormalizeBindings(&answer.bindings);
   PublishTiming("forward_indexproj", answer.timing);

@@ -24,10 +24,10 @@ using workflow::Processor;
 
 Result<IndexProjLineage> IndexProjLineage::Create(
     std::shared_ptr<const Dataflow> dataflow,
-    const provenance::TraceStore* store, ProbeExecution mode) {
+    const provenance::TraceStore* store) {
   PROVLIN_ASSIGN_OR_RETURN(workflow::DepthMap depths,
                            workflow::PropagateDepths(*dataflow));
-  return IndexProjLineage(std::move(dataflow), std::move(depths), store, mode);
+  return IndexProjLineage(std::move(dataflow), std::move(depths), store);
 }
 
 namespace {
@@ -318,15 +318,15 @@ Status AppendSourceViaConsumer(const provenance::TraceStore& store,
 }  // namespace
 
 Status IndexProjLineage::ExecutePlanBatched(
-    const LineagePlan& plan, const std::vector<std::string>& runs,
-    std::vector<LineageBinding>* bindings) const {
+    std::span<const TraceQuery> queries, const std::vector<std::string>& runs,
+    std::vector<LineageBinding>* bindings, uint64_t* rows) const {
   PROVLIN_TRACE_SPAN_VAR(span, "indexproj/s2_run");
   if (span.active()) {
     span.SetArgs("runs=" + std::to_string(runs.size()) +
-                 " queries=" + std::to_string(plan.queries.size()));
+                 " queries=" + std::to_string(queries.size()));
   }
-  // Every probe the plan issues is determined by the plan alone, so the
-  // whole of s2 — across *all* runs in scope — flattens into one
+  // Every probe the queries issue is determined by the queries alone, so
+  // the whole of s2 — across *all* runs in scope — flattens into one
   // producing batch (source queries) and one consuming batch
   // (via-consumer probes + plain queries) before any result is
   // consumed. Probes carry their run, so a sharded store groups the
@@ -348,10 +348,10 @@ Status IndexProjLineage::ExecutePlanBatched(
     RunSlots slots;
     slots.run = &run;
     slots.run_sym = *run_sym;
-    slots.producing_slot.assign(plan.queries.size(), kNone);
-    slots.consuming_slot.assign(plan.queries.size(), kNone);
-    for (size_t i = 0; i < plan.queries.size(); ++i) {
-      const TraceQuery& q = plan.queries[i];
+    slots.producing_slot.assign(queries.size(), kNone);
+    slots.consuming_slot.assign(queries.size(), kNone);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const TraceQuery& q = queries[i];
       if (q.workflow_source) {
         slots.producing_slot[i] = producing.size();
         producing.push_back({*run_sym, q.processor, q.port, q.index});
@@ -376,12 +376,16 @@ Status IndexProjLineage::ExecutePlanBatched(
     PROVLIN_ASSIGN_OR_RETURN(consumed, store_->FindConsumingBatch(consuming));
   }
 
-  // Assembly walks runs then queries in plan order, exactly like the
-  // per-run single-probe loop — only the probe physics changed above.
+  if (rows != nullptr) {
+    for (const auto& r : produced) *rows += r.size();
+    for (const auto& r : consumed) *rows += r.size();
+  }
+
+  // Assembly walks runs then queries in query order.
   for (const RunSlots& slots : per_run) {
     const std::string& run = *slots.run;
-    for (size_t i = 0; i < plan.queries.size(); ++i) {
-      const TraceQuery& q = plan.queries[i];
+    for (size_t i = 0; i < queries.size(); ++i) {
+      const TraceQuery& q = queries[i];
       if (q.workflow_source) {
         const std::vector<XformRecord>& src_rows =
             produced[slots.producing_slot[i]];
@@ -402,48 +406,6 @@ Status IndexProjLineage::ExecutePlanBatched(
   return Status::OK();
 }
 
-Status IndexProjLineage::ExecuteQuerySingle(
-    const TraceQuery& q, SymbolId run_sym, const std::string& run,
-    std::vector<LineageBinding>* bindings, uint64_t* rows) const {
-  if (q.workflow_source) {
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> src_rows,
-        store_->FindProducing(run_sym, q.processor, q.port, q.index));
-    if (rows != nullptr) *rows += src_rows.size();
-    if (q.via_processor == kNoSymbol) {
-      // Direct query on the workflow input port itself.
-      return AppendSourceBindings(*store_, run, src_rows, q.index, bindings);
-    }
-    PROVLIN_ASSIGN_OR_RETURN(
-        std::vector<XformRecord> consumed,
-        store_->FindConsuming(run_sym, q.via_processor, q.via_port, q.index));
-    if (rows != nullptr) *rows += consumed.size();
-    return AppendSourceViaConsumer(*store_, run, src_rows, consumed, bindings);
-  }
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::vector<XformRecord> xform_rows,
-      store_->FindConsuming(run_sym, q.processor, q.port, q.index));
-  if (rows != nullptr) *rows += xform_rows.size();
-  return AppendConsumedBindings(*store_, run, xform_rows, bindings);
-}
-
-Status IndexProjLineage::ExecutePlan(
-    const LineagePlan& plan, const std::string& run,
-    std::vector<LineageBinding>* bindings) const {
-  if (mode_ == ProbeExecution::kBatched) {
-    return ExecutePlanBatched(plan, {run}, bindings);
-  }
-  // A run the trace never recorded has no rows for any query in the
-  // plan; resolving it once up front skips |queries| futile probes.
-  auto run_sym = store_->LookupSymbol(run);
-  if (!run_sym.has_value()) return Status::OK();
-  for (const TraceQuery& q : plan.queries) {
-    PROVLIN_RETURN_IF_ERROR(
-        ExecuteQuerySingle(q, *run_sym, run, bindings, nullptr));
-  }
-  return Status::OK();
-}
-
 Result<LineageAnswer> IndexProjLineage::Query(
     const LineageRequest& request) const {
   PROVLIN_TRACE_SPAN("indexproj/query");
@@ -460,21 +422,14 @@ Result<LineageAnswer> IndexProjLineage::Query(
   answer.timing.t1_ms = t1.ElapsedMillis();
   answer.timing.graph_steps = plan->graph_steps;
 
-  // s2: execute the generated trace queries per run. Probe counts come
-  // from this thread's counters so concurrent queries don't pollute each
-  // other's cost attribution.
+  // s2: all runs in one batched execution — one producing + one
+  // consuming batch for the whole scope, fanned out across shards by the
+  // store. Probe counts come from this thread's counters so concurrent
+  // queries don't pollute each other's cost attribution.
   storage::ThreadStats before = storage::ThisThreadStats();
   WallTimer t2;
-  if (mode_ == ProbeExecution::kBatched) {
-    // All runs in one batched execution: one producing + one consuming
-    // batch for the whole scope, fanned out across shards by the store.
-    PROVLIN_RETURN_IF_ERROR(
-        ExecutePlanBatched(*plan, request.runs, &answer.bindings));
-  } else {
-    for (const std::string& run : request.runs) {
-      PROVLIN_RETURN_IF_ERROR(ExecutePlan(*plan, run, &answer.bindings));
-    }
-  }
+  PROVLIN_RETURN_IF_ERROR(
+      ExecutePlanBatched(plan->queries, request.runs, &answer.bindings));
   answer.timing.t2_ms = t2.ElapsedMillis();
   answer.timing.trace_probes =
       storage::ThisThreadStats().probes() - before.probes();
@@ -504,26 +459,22 @@ Result<ExplainResult> IndexProjLineage::Explain(
   for (size_t i = 0; i < plan->queries.size(); ++i) {
     out.steps[i].query = plan->queries[i];
   }
-  // Single-probe execution, one measured step per trace query; costs
-  // accumulate across the runs in scope so the plan keeps one row per
-  // generated query no matter how many runs it was applied to.
-  for (const std::string& run : request.runs) {
-    auto run_sym = store_->LookupSymbol(run);
-    if (!run_sym.has_value()) continue;
-    for (size_t i = 0; i < plan->queries.size(); ++i) {
-      ExplainStep& step = out.steps[i];
-      storage::ThreadStats before = storage::ThisThreadStats();
-      size_t bindings_before = out.answer.bindings.size();
-      WallTimer t;
-      PROVLIN_RETURN_IF_ERROR(ExecuteQuerySingle(
-          plan->queries[i], *run_sym, run, &out.answer.bindings, &step.rows));
-      step.ms += t.ElapsedMillis();
-      step.trace_probes +=
-          storage::ThisThreadStats().probes() - before.probes();
-      step.trace_descents +=
-          storage::ThisThreadStats().descents - before.descents;
-      step.bindings += out.answer.bindings.size() - bindings_before;
-    }
+  // One measured step per trace query, each executed over all runs in
+  // scope, so the plan keeps one row per generated query no matter how
+  // many runs it was applied to.
+  for (size_t i = 0; i < plan->queries.size(); ++i) {
+    ExplainStep& step = out.steps[i];
+    storage::ThreadStats before = storage::ThisThreadStats();
+    size_t bindings_before = out.answer.bindings.size();
+    WallTimer t;
+    PROVLIN_RETURN_IF_ERROR(
+        ExecutePlanBatched(std::span(plan->queries).subspan(i, 1),
+                           request.runs, &out.answer.bindings, &step.rows));
+    step.ms = t.ElapsedMillis();
+    step.trace_probes = storage::ThisThreadStats().probes() - before.probes();
+    step.trace_descents =
+        storage::ThisThreadStats().descents - before.descents;
+    step.bindings = out.answer.bindings.size() - bindings_before;
   }
 
   out.answer.timing.plan_cache_hit = cache_hit;

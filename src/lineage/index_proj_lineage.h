@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -103,15 +104,10 @@ struct LineagePlan {
 class IndexProjLineage : public LineageEngine {
  public:
   /// `dataflow` must be flattened + validated; `store` must outlive the
-  /// engine. Depth propagation (Alg. 1) runs once here. In the default
-  /// kBatched mode the plan's |𝒫|-many trace queries execute as sorted
-  /// probe batches (one producing batch + one consuming batch per run)
-  /// instead of |𝒫| independent descents; answers and logical probe
-  /// counts are identical to kSingleProbe.
+  /// engine. Depth propagation (Alg. 1) runs once here.
   static Result<IndexProjLineage> Create(
       std::shared_ptr<const workflow::Dataflow> dataflow,
-      const provenance::TraceStore* store,
-      ProbeExecution mode = ProbeExecution::kBatched);
+      const provenance::TraceStore* store);
 
   std::string_view name() const override { return "indexproj"; }
 
@@ -123,14 +119,17 @@ class IndexProjLineage : public LineageEngine {
       const workflow::PortRef& target, const Index& q,
       const InterestSet& interest, bool* cache_hit = nullptr) const;
 
-  /// Full query: s1 once (cached, shared) + s2 per run in scope (§3.4).
+  /// Full query: s1 once (cached, shared) + s2 over every run in scope
+  /// (§3.4). The plan's trace queries for all runs execute as one
+  /// producing batch plus one consuming batch.
   Result<LineageAnswer> Query(const LineageRequest& request) const override;
 
-  /// EXPLAIN: answers `request` with the single-probe execution path,
-  /// measuring each generated trace query separately (probes, descents,
-  /// rows fetched, bindings contributed, wall time). Costs are the real
-  /// measured costs of this execution — slower than Query() because
-  /// per-step attribution forgoes batching.
+  /// EXPLAIN: answers `request` one generated trace query at a time
+  /// (each over all runs in scope), measuring each query separately
+  /// (probes, descents, rows fetched, bindings contributed, wall time).
+  /// Costs are the real measured costs of this execution — slower than
+  /// Query() because per-step attribution forgoes batching across
+  /// queries.
   Result<ExplainResult> Explain(const LineageRequest& request) const;
 
   /// Wipes the plan cache (used by benches to measure cold planning).
@@ -184,39 +183,26 @@ class IndexProjLineage : public LineageEngine {
 
   IndexProjLineage(std::shared_ptr<const workflow::Dataflow> dataflow,
                    workflow::DepthMap depths,
-                   const provenance::TraceStore* store, ProbeExecution mode)
+                   const provenance::TraceStore* store)
       : dataflow_(std::move(dataflow)),
         depths_(std::move(depths)),
         store_(store),
-        mode_(mode),
         cache_(std::make_unique<PlanCache>()) {}
 
   Result<LineagePlan> BuildPlan(const workflow::PortRef& target,
                                 const Index& q,
                                 const InterestSet& interest) const;
 
-  /// Executes a plan's trace queries against one run (step s2),
-  /// dispatching on mode_.
-  Status ExecutePlan(const LineagePlan& plan, const std::string& run,
-                     std::vector<LineageBinding>* bindings) const;
-
-  /// Single-probe execution of one trace query against one resolved run:
-  /// the shared body of the kSingleProbe path and Explain(). `rows`,
-  /// when non-null, accumulates the trace rows the query fetched.
-  Status ExecuteQuerySingle(const TraceQuery& q, common::SymbolId run_sym,
-                            const std::string& run,
-                            std::vector<LineageBinding>* bindings,
-                            uint64_t* rows) const;
-
-  /// kBatched s2: every probe the plan will issue is known up front, so
-  /// the whole plan — across every run in scope — flattens into one
-  /// producing batch plus one consuming batch before per-query assembly
-  /// (which walks runs then queries, in the per-run loop's order). The
-  /// run-qualified probes let a sharded store fan the batch out by
-  /// owning shard.
-  Status ExecutePlanBatched(const LineagePlan& plan,
+  /// Step s2: every probe the queries will issue is known up front, so
+  /// they flatten — across every run in scope — into one producing
+  /// batch plus one consuming batch before per-query assembly (which
+  /// walks runs then queries, in order). The run-qualified probes let a
+  /// sharded store fan the batch out by owning shard. `rows`, when
+  /// non-null, accumulates the trace rows fetched.
+  Status ExecutePlanBatched(std::span<const TraceQuery> queries,
                             const std::vector<std::string>& runs,
-                            std::vector<LineageBinding>* bindings) const;
+                            std::vector<LineageBinding>* bindings,
+                            uint64_t* rows = nullptr) const;
 
   /// Plan cache key: (target processor, target port, index id, resolved
   /// interest ids) — a packed integer vector instead of a concatenated
@@ -228,7 +214,6 @@ class IndexProjLineage : public LineageEngine {
   std::shared_ptr<const workflow::Dataflow> dataflow_;
   workflow::DepthMap depths_;
   const provenance::TraceStore* store_;
-  ProbeExecution mode_;
   std::unique_ptr<PlanCache> cache_;
 };
 

@@ -14,7 +14,7 @@ namespace provlin::lineage {
 
 /// The paper's baseline NI: lin(⟨P:Y[p], v⟩, 𝒫) computed by the mutual
 /// recursion of Def. 1 directly over the *extensional* provenance trace.
-/// Each recursion step issues indexed trace-database probes (xform
+/// Each traversal step issues indexed trace-database probes (xform
 /// inversion at processors, xfer lookup at arcs), so the total cost
 /// grows with the length of the provenance path — the behaviour Fig. 9
 /// quantifies. The workflow specification is never consulted.
@@ -23,40 +23,24 @@ namespace provlin::lineage {
 /// store are safe.
 class NaiveLineage : public LineageEngine {
  public:
-  /// The store must outlive the engine. The default kBatched mode runs
-  /// the Def. 1 traversal as a frontier-batched BFS: each level's probes
-  /// (all producing probes, then all xfer probes) go to the trace store
-  /// as one sorted batch, amortizing B+-tree descents. kSingleProbe
-  /// keeps the seed's depth-first recursion with one descent per probe.
-  /// Both modes visit the same nodes, issue the same logical probes, and
-  /// return byte-identical answers.
-  explicit NaiveLineage(const provenance::TraceStore* store,
-                        ProbeExecution mode = ProbeExecution::kBatched)
-      : store_(store), mode_(mode) {}
+  /// The store must outlive the engine.
+  explicit NaiveLineage(const provenance::TraceStore* store)
+      : store_(store) {}
 
   std::string_view name() const override { return "naive"; }
 
   /// Computes the lineage of ⟨target[index]⟩ over the request's runs.
   /// The target may be any processor port or a workflow output/input
   /// port; the side (output vs. input) is auto-detected from the trace.
-  /// NI shares no *results* across runs (§3.4), but in kBatched mode a
-  /// multi-run request traverses all runs as one frontier: each level's
-  /// probes carry their run, so a sharded store groups them by owning
-  /// shard and fans the per-shard sub-batches out concurrently. The
-  /// expanded node set per run — and the answer — is identical to the
-  /// per-run loop kSingleProbe still uses.
+  /// NI shares no *results* across runs (§3.4), but a multi-run request
+  /// traverses all runs as one frontier: each level's probes carry their
+  /// run, so a sharded store groups them by owning shard and fans the
+  /// per-shard sub-batches out concurrently. The expanded node set per
+  /// run — and the answer — is the same as querying each run alone.
   Result<LineageAnswer> Query(const LineageRequest& request) const override;
 
  private:
-  /// One full Def. 1 traversal of a single run.
-  Result<LineageAnswer> QueryOneRun(const std::string& run,
-                                    const workflow::PortRef& target,
-                                    const Index& q,
-                                    const InterestSet& interest,
-                                    ProbeExecution mode) const;
-
   const provenance::TraceStore* store_;
-  ProbeExecution mode_;
 };
 
 }  // namespace provlin::lineage

@@ -84,6 +84,14 @@ XformRecord DecodeXform(const Row& row) {
 constexpr int kKindProducing = 0, kKindConsuming = 1, kKindXferInto = 2,
               kKindXferFrom = 3;
 
+/// The single-probe finders are one-element batches: unwraps slot 0.
+template <typename Record>
+Result<std::vector<Record>> OnlySlot(
+    Result<std::vector<std::vector<Record>>> batch) {
+  if (!batch.ok()) return batch.status();
+  return std::move(batch->front());
+}
+
 /// Content-comparing row-pointer order, for deduping overlap-probe rows
 /// without copying them (two rids with byte-identical rows still dedup,
 /// matching the historical std::set<Row> behaviour).
@@ -154,35 +162,12 @@ XferRecord DecodeXfer(const Row& row) {
   return rec;
 }
 
-/// Runs an equality+overlap probe against one shard's `t` through
-/// independent single ExecuteSelect calls: equality on (run,
-/// pair-column), point probes for q and its proper prefixes, and one
-/// path-prefix range probe for strict extensions. Emits each distinct
-/// matching row once, in discovery order. Rows are borrowed from the
-/// table (zero-copy) — consumed before the caller releases the shard's
-/// reader lock.
-Status OverlapProbe(const Table* t, SymbolId run, const char* pair_col,
-                    IdPair pair, const char* index_col, const Index& idx,
-                    const std::function<void(const Row&)>& emit) {
-  std::vector<SelectQuery> queries;
-  AppendOverlapQueries(run, pair_col, pair, index_col, idx, &queries);
-  storage::SelectOptions zero_copy;
-  zero_copy.zero_copy = true;
-  std::set<const Row*, RowPtrLess> seen;
-  for (const SelectQuery& q : queries) {
-    PROVLIN_ASSIGN_OR_RETURN(SelectResult r,
-                             storage::ExecuteSelect(*t, q, zero_copy));
-    for (const Row* row : r.row_ptrs) {
-      if (seen.insert(row).second) emit(*row);
-    }
-  }
-  return Status::OK();
-}
-
 /// Batched overlap probes against one shard: the whole sub-batch's
 /// queries flatten into one ExecuteMultiSelect pass. emit(i, row) fires
-/// once per distinct row matching probes[i], in the same order
-/// OverlapProbe discovers them. Every probe must belong to this shard.
+/// once per distinct row matching probes[i], in the order the probe's
+/// queries discover them. Rows are borrowed from the table (zero-copy) —
+/// consumed before the caller releases the shard's reader lock. Every
+/// probe must belong to this shard.
 Status OverlapProbeBatch(
     const Table* t, const char* pair_col, const char* index_col,
     const std::vector<PortProbe>& probes,
@@ -199,8 +184,7 @@ Status OverlapProbeBatch(
   zero_copy.zero_copy = true;
   PROVLIN_ASSIGN_OR_RETURN(std::vector<SelectResult> results,
                            storage::ExecuteMultiSelect(*t, queries, zero_copy));
-  // Per-probe content dedup in flattened query order — the same
-  // discovery order the single-probe path produces.
+  // Per-probe content dedup in flattened query order.
   std::vector<std::set<const Row*, RowPtrLess>> seen(probes.size());
   for (size_t qi = 0; qi < results.size(); ++qi) {
     size_t i = owner[qi];
@@ -287,8 +271,9 @@ void AppendOverlapViewProbes(IdPair pair, const Index& idx,
   probes->push_back(std::move(p));
 }
 
-/// Sealed twin of OverlapProbe: runs one (pair, idx) overlap probe
-/// against a view of the run's segment. Emits each distinct matching
+/// Sealed counterpart of one OverlapProbeBatch probe: runs one (pair,
+/// idx) overlap probe against a view of the run's segment. Emits each
+/// distinct matching
 /// row once, in the same discovery order as the B+tree path. Rows point
 /// into `scratch` and stay valid for its lifetime. `queries` tallies
 /// the logical probes issued (the index_probes equivalent).
@@ -1436,68 +1421,6 @@ ProbeBreakdown* ProbeBreakdownScope::Active() {
 }
 
 template <typename Record>
-Result<std::vector<Record>> TraceStore::FindOneImpl(
-    int kind, const char* table, const char* pair_col, const char* index_col,
-    Record (*decode)(const storage::Row&), SymbolId run, IdPair pair,
-    const Index& idx) const {
-  PROVLIN_TRACE_SPAN("trace/find");
-  ProbeMemo* memo = ProbeMemoScope::Active();
-  ProbeMemo::Key key{kind, run, pair.Packed(), InternIndex(idx)};
-  if (memo != nullptr) {
-    memo->lookups_.fetch_add(1, std::memory_order_relaxed);
-    MemoMx().lookups->Increment();
-    common::MutexLock lock(memo->mu_);
-    auto& map = memo->MapFor<Record>();
-    auto it = map.find(key);
-    if (it != map.end()) {
-      memo->hits_.fetch_add(1, std::memory_order_relaxed);
-      MemoMx().hits->Increment();
-      return *it->second;
-    }
-  }
-  const size_t shard_id = rep_->ShardIdOfSym(run);
-  Shard* s = rep_->shards[shard_id].get();
-  PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-  s->probes_ctr->Increment();
-  std::vector<Record> out;
-  ProbeBreakdown* breakdown = ProbeBreakdownScope::Active();
-  const storage::ThreadStats before = storage::ThisThreadStats();
-  {
-    common::ReaderLock data(s->data_mu);
-    if (const Segment* seg = s->SealedSegFor(table, run)) {
-      // Sealed run: answer in place on the compressed segment.
-      Segment::Scratch scratch;
-      Segment::ProbeCounts counts;
-      size_t queries = 0;
-      PROVLIN_RETURN_IF_ERROR(SealedOverlapProbe(
-          *seg, ViewForPairCol(pair_col), pair, idx, &scratch, &counts,
-          &queries, [&](const Row& row) { out.push_back(decode(row)); }));
-      CreditSealedProbe(queries, counts, /*batched=*/false);
-      if (breakdown != nullptr) {
-        breakdown->CreditSealed(queries, counts.entries_examined);
-      }
-    } else {
-      PROVLIN_RETURN_IF_ERROR(OverlapProbe(
-          s->ProbeTableFor(table), run, pair_col, pair, index_col, idx,
-          [&](const Row& row) { out.push_back(decode(row)); }));
-    }
-  }
-  if (breakdown != nullptr) {
-    const storage::ThreadStats after = storage::ThisThreadStats();
-    breakdown->CreditShard(static_cast<uint32_t>(shard_id),
-                           after.index_probes - before.index_probes,
-                           after.descents - before.descents,
-                           after.rows_examined - before.rows_examined);
-  }
-  if (memo != nullptr) {
-    auto cached = std::make_shared<const std::vector<Record>>(out);
-    common::MutexLock lock(memo->mu_);
-    memo->MapFor<Record>().emplace(key, std::move(cached));
-  }
-  return out;
-}
-
-template <typename Record>
 Result<std::vector<std::vector<Record>>> TraceStore::FindBatchImpl(
     int kind, const char* table, const char* pair_col, const char* index_col,
     Record (*decode)(const storage::Row&),
@@ -1517,7 +1440,7 @@ Result<std::vector<std::vector<Record>>> TraceStore::FindBatchImpl(
   } else {
     keys.reserve(probes.size());
     for (const PortProbe& p : probes) {
-      keys.push_back(ProbeMemo::Key{kind, p.run,
+      keys.push_back(ProbeMemo::Key{rep_.get(), kind, p.run,
                                     IdPair{p.processor, p.port}.Packed(),
                                     InternIndex(p.index)});
     }
@@ -1713,9 +1636,7 @@ Result<std::vector<std::vector<Record>>> TraceStore::FindBatchImpl(
 Result<std::vector<XformRecord>> TraceStore::FindProducing(
     SymbolId run, SymbolId processor, SymbolId out_port,
     const Index& q) const {
-  return FindOneImpl<XformRecord>(kKindProducing, tables::kXform, "out",
-                                  "out_index", &DecodeXform, run,
-                                  IdPair{processor, out_port}, q);
+  return OnlySlot(FindProducingBatch({{run, processor, out_port, q}}));
 }
 
 Result<std::vector<std::vector<XformRecord>>> TraceStore::FindProducingBatch(
@@ -1754,9 +1675,7 @@ Result<std::vector<XformRecord>> TraceStore::FindProducing(
 
 Result<std::vector<XformRecord>> TraceStore::FindConsuming(
     SymbolId run, SymbolId processor, SymbolId in_port, const Index& p) const {
-  return FindOneImpl<XformRecord>(kKindConsuming, tables::kXform, "in",
-                                  "in_index", &DecodeXform, run,
-                                  IdPair{processor, in_port}, p);
+  return OnlySlot(FindConsumingBatch({{run, processor, in_port, p}}));
 }
 
 Result<std::vector<XformRecord>> TraceStore::FindConsuming(
@@ -1771,9 +1690,7 @@ Result<std::vector<XformRecord>> TraceStore::FindConsuming(
 
 Result<std::vector<XferRecord>> TraceStore::FindXfersInto(
     SymbolId run, SymbolId dst_proc, SymbolId dst_port, const Index& p) const {
-  return FindOneImpl<XferRecord>(kKindXferInto, tables::kXfer, "dst",
-                                 "dst_index", &DecodeXfer, run,
-                                 IdPair{dst_proc, dst_port}, p);
+  return OnlySlot(FindXfersIntoBatch({{run, dst_proc, dst_port, p}}));
 }
 
 Result<std::vector<XferRecord>> TraceStore::FindXfersInto(
@@ -1788,9 +1705,7 @@ Result<std::vector<XferRecord>> TraceStore::FindXfersInto(
 
 Result<std::vector<XferRecord>> TraceStore::FindXfersFrom(
     SymbolId run, SymbolId src_proc, SymbolId src_port, const Index& p) const {
-  return FindOneImpl<XferRecord>(kKindXferFrom, tables::kXfer, "src",
-                                 "src_index", &DecodeXfer, run,
-                                 IdPair{src_proc, src_port}, p);
+  return OnlySlot(FindXfersFromBatch({{run, src_proc, src_port, p}}));
 }
 
 Result<std::vector<XferRecord>> TraceStore::FindXfersFrom(

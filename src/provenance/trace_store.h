@@ -88,8 +88,10 @@ class ProbeMemo {
 
  private:
   friend class TraceStore;
-  /// (probe kind, run, packed (processor, port), index id).
-  using Key = std::tuple<int, SymbolId, uint64_t, IndexId>;
+  /// (store, probe kind, run, packed (processor, port), index id). The
+  /// ids are store-local — two stores that intern in the same order
+  /// hand out the same ids — so the store's identity is part of the key.
+  using Key = std::tuple<const void*, int, SymbolId, uint64_t, IndexId>;
 
   /// Selects the map for a record type; REQUIRES makes every access
   /// site prove it holds the memo mutex (the maps are only reachable
@@ -430,13 +432,14 @@ class TraceStore {
                                                 const Index& p) const;
 
   // --- batched read side ---------------------------------------------------
-  // Each batch variant answers probes[i] exactly as its single-probe
-  // counterpart would (same rows, same order). Probes are run-qualified:
-  // the batch is grouped by owning shard, each shard group flattens into
-  // one ExecuteMultiSelect pass over that shard's trace table (sorted
-  // probes share B+-tree descents), groups spanning multiple shards run
-  // concurrently on the store's fan-out pool, and the CSR-style results
-  // merge back into the caller's original probe order.
+  // Every trace probe runs through these: the single-probe finders above
+  // are one-element batches. results[i] answers probes[i] with the same
+  // overlap semantics. Probes are run-qualified: the batch is grouped by
+  // owning shard, each shard group flattens into one ExecuteMultiSelect
+  // pass over that shard's trace table (sorted probes share B+-tree
+  // descents), groups spanning multiple shards run concurrently on the
+  // store's fan-out pool, and the CSR-style results merge back into the
+  // caller's original probe order.
 
   Result<std::vector<std::vector<XformRecord>>> FindProducingBatch(
       const std::vector<PortProbe>& probes) const;
@@ -473,18 +476,9 @@ class TraceStore {
 
   explicit TraceStore(std::unique_ptr<Rep> rep);
 
-  /// Memo-aware single overlap probe, decoded. `kind` tags the memo key
-  /// space (one per public Find* flavor).
-  template <typename Record>
-  Result<std::vector<Record>> FindOneImpl(int kind, const char* table,
-                                          const char* pair_col,
-                                          const char* index_col,
-                                          Record (*decode)(const storage::Row&),
-                                          SymbolId run, storage::IdPair pair,
-                                          const Index& idx) const;
-
   /// Memo-aware batched overlap probes with shard fan-out/merge;
-  /// results[i] answers probes[i].
+  /// results[i] answers probes[i]. `kind` tags the memo key space (one
+  /// per public Find* flavor).
   template <typename Record>
   Result<std::vector<std::vector<Record>>> FindBatchImpl(
       int kind, const char* table, const char* pair_col, const char* index_col,

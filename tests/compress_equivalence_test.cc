@@ -3,12 +3,12 @@
 // whether sealed by policy (--compress seal/always) or explicitly
 // (SealRun / SealAllRuns) — must return bindings identical to the
 // all-hot B+tree store, with the same logical probe counts and the
-// same EXPLAIN row counts per step, for both engines and both probe
-// execution modes. The suite sweeps the paper workloads (GK, PD,
-// synthetic) plus random workflows over shards ∈ {1, 4} and the three
-// sealing shapes (policy-mixed hot/sealed, everything sealed,
-// explicitly sealed), and checks DeleteRun and image persistence
-// against sealed runs.
+// same EXPLAIN row counts per step, for both engines — and both must
+// match the scan oracle over the sealed store's rows. The suite sweeps
+// the paper workloads (GK, PD, synthetic) plus random workflows over
+// shards ∈ {1, 4} and the three sealing shapes (policy-mixed
+// hot/sealed, everything sealed, explicitly sealed), and checks
+// DeleteRun and image persistence against sealed runs.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +30,7 @@
 #include "testbed/synthetic.h"
 #include "testbed/workbench.h"
 #include "tests/random_workflow.h"
+#include "tests/scan_oracle.h"
 
 namespace provlin::lineage {
 namespace {
@@ -40,6 +41,7 @@ using testbed::Workbench;
 using testbed_testing::GeneratedWorkflow;
 using testbed_testing::IsDotShapeMismatch;
 using testbed_testing::MakeRandomWorkflow;
+using testbed_testing::ScanOracle;
 using workflow::kWorkflowProcessor;
 using workflow::PortRef;
 
@@ -78,9 +80,9 @@ const Variant kVariants[] = {
 };
 
 /// Asserts that `make` produces identical answers on the all-hot store
-/// and on every sealed variant: bindings and logical probe counts from
-/// both engines in both probe modes, multi-run answers, EXPLAIN row
-/// counts, and the record totals themselves.
+/// and on every sealed variant: bindings (also against the scan oracle)
+/// and logical probe counts from both engines, multi-run answers,
+/// EXPLAIN row counts, and the record totals themselves.
 void ExpectSealingIsPurelyPhysical(const Factory& make) {
   TraceStoreOptions base_options;
   base_options.shards = 1;        // pin: immune to PROVLIN_TEST_SHARDS
@@ -95,8 +97,7 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
   auto base_runs = base.wb->store()->ListRuns();
   ASSERT_TRUE(base_runs.ok());
 
-  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store(),
-                                          ProbeExecution::kBatched);
+  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
   ASSERT_TRUE(base_ip.ok());
 
   for (const Variant& v : kVariants) {
@@ -143,30 +144,21 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
     EXPECT_EQ(counts->xfer_rows, base_counts->xfer_rows) << v.name;
     EXPECT_EQ(counts->value_rows, base_counts->value_rows) << v.name;
 
-    // The property is per engine and per probe mode: the SAME engine on
-    // the sealed store answers exactly as on the all-hot store.
-    NaiveLineage ni_single(base.wb->store(), ProbeExecution::kSingleProbe);
-    NaiveLineage ni_batched(base.wb->store(), ProbeExecution::kBatched);
-    auto ip_single = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kSingleProbe);
-    auto ip_batched = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kBatched);
-    ASSERT_TRUE(ip_single.ok());
-    ASSERT_TRUE(ip_batched.ok());
-    NaiveLineage se_ni_single(store, ProbeExecution::kSingleProbe);
-    NaiveLineage se_ni_batched(store, ProbeExecution::kBatched);
-    auto se_ip_single = IndexProjLineage::Create(
-        sealed.wb->flow(), store, ProbeExecution::kSingleProbe);
-    auto se_ip_batched = IndexProjLineage::Create(
-        sealed.wb->flow(), store, ProbeExecution::kBatched);
-    ASSERT_TRUE(se_ip_single.ok());
-    ASSERT_TRUE(se_ip_batched.ok());
+    // The property is per engine: the SAME engine on the sealed store
+    // answers exactly as on the all-hot store.
+    NaiveLineage ni(base.wb->store());
+    auto ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
+    ASSERT_TRUE(ip.ok());
+    NaiveLineage se_ni(store);
+    auto se_ip = IndexProjLineage::Create(sealed.wb->flow(), store);
+    ASSERT_TRUE(se_ip.ok());
     const std::pair<const LineageEngine*, const LineageEngine*> pairs[] = {
-        {&ni_single, &se_ni_single},
-        {&ni_batched, &se_ni_batched},
-        {&*ip_single, &*se_ip_single},
-        {&*ip_batched, &*se_ip_batched},
+        {&ni, &se_ni},
+        {&*ip, &*se_ip},
     };
+    // The scan oracle reads the sealed store's rows without any probe
+    // code (tests/scan_oracle.h): both engines must match it too.
+    ScanOracle oracle(store);
 
     for (const auto& [port, q] : base.queries) {
       for (const InterestSet& interest : base.interests) {
@@ -174,9 +166,15 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
           return port.ToString() + q.ToString() + " |P|=" +
                  std::to_string(interest.size()) + " variant=" + v.name;
         };
+        bool all_addressed = true;
         for (const std::string& run : base.runs) {
           LineageRequest req =
               LineageRequest::SingleRun(run, port, q, interest);
+          auto oracle_want = oracle.Query(req);
+          ASSERT_TRUE(oracle_want.ok()) << tag();
+          auto addressed = oracle.Addresses(run, port, q);
+          ASSERT_TRUE(addressed.ok()) << tag();
+          all_addressed = all_addressed && *addressed;
           for (const auto& [hot, sealeng] : pairs) {
             auto want = hot->Query(req);
             ASSERT_TRUE(want.ok())
@@ -188,6 +186,13 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
             ASSERT_EQ(got->bindings, want->bindings)
                 << sealeng->name() << " diverges at " << tag() << " run "
                 << run;
+            // IndexProj is only defined on indices the run recorded
+            // (ScanOracle::Addresses); NI is checked everywhere.
+            if (sealeng == &se_ni || *addressed) {
+              ASSERT_EQ(got->bindings, *oracle_want)
+                  << sealeng->name() << " vs oracle at " << tag() << " run "
+                  << run;
+            }
             // Sealing must not change the logical probe count either —
             // only how each probe is answered.
             EXPECT_EQ(got->timing.trace_probes, want->timing.trace_probes)
@@ -197,7 +202,7 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
           // EXPLAIN against the sealed store mirrors the all-hot plan:
           // same steps, same logical row and binding counts.
           auto base_ex = base_ip->Explain(req);
-          auto se_ex = se_ip_batched->Explain(req);
+          auto se_ex = se_ip->Explain(req);
           ASSERT_TRUE(base_ex.ok()) << tag();
           ASSERT_TRUE(se_ex.ok()) << tag();
           EXPECT_EQ(se_ex->answer.bindings, base_ex->answer.bindings);
@@ -221,6 +226,8 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
           multi.target = port;
           multi.index = q;
           multi.interest = interest;
+          auto oracle_multi = oracle.Query(multi);
+          ASSERT_TRUE(oracle_multi.ok()) << tag();
           for (const auto& [hot, sealeng] : pairs) {
             auto want = hot->Query(multi);
             ASSERT_TRUE(want.ok()) << tag();
@@ -229,6 +236,11 @@ void ExpectSealingIsPurelyPhysical(const Factory& make) {
             EXPECT_EQ(got->bindings, want->bindings)
                 << "multi-run " << sealeng->name() << " diverges at "
                 << tag();
+            if (sealeng == &se_ni || all_addressed) {
+              EXPECT_EQ(got->bindings, *oracle_multi)
+                  << "multi-run " << sealeng->name() << " vs oracle at "
+                  << tag();
+            }
           }
         }
       }

@@ -12,6 +12,7 @@
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
 #include "tests/random_workflow.h"
+#include "tests/scan_oracle.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
 #include "testbed/synthetic.h"
@@ -24,6 +25,7 @@ using testbed::Workbench;
 using testbed_testing::GeneratedWorkflow;
 using testbed_testing::IsDotShapeMismatch;
 using testbed_testing::MakeRandomWorkflow;
+using testbed_testing::ScanOracle;
 using workflow::kWorkflowProcessor;
 using workflow::PortRef;
 
@@ -86,7 +88,9 @@ TEST_P(EquivalenceTest, IndexProjMatchesNaiveOnRandomWorkflows) {
   }
 
   // Both algorithms through the uniform engine interface — the property
-  // is about the abstract contract, not the concrete types.
+  // is about the abstract contract, not the concrete types — and both
+  // against the scan oracle.
+  ScanOracle oracle(wb->store());
   const LineageEngine* naive = wb->Engine("naive");
   const LineageEngine* index_proj = wb->Engine("indexproj");
   ASSERT_NE(naive, nullptr);
@@ -121,6 +125,12 @@ TEST_P(EquivalenceTest, IndexProjMatchesNaiveOnRandomWorkflows) {
         ASSERT_EQ(ni->bindings, ip->bindings)
             << "divergence at " << target.port.ToString() << q.ToString()
             << " with |P|=" << interest.size() << " (seed " << seed << ")";
+        auto want = oracle.Query(req);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        ASSERT_EQ(ni->bindings, *want)
+            << "oracle divergence at " << target.port.ToString()
+            << q.ToString() << " with |P|=" << interest.size() << " (seed "
+            << seed << ")";
         ++checked;
       }
     }
@@ -132,22 +142,19 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EquivalenceTest,
                          ::testing::Range<uint64_t>(1, 81));
 
 // ---------------------------------------------------------------------------
-// Batched probe execution is purely physical: engines constructed in
-// kSingleProbe and kBatched mode must return byte-identical bindings and
-// issue the same logical probes; batching may only reduce descents.
+// Both engines against the scan oracle: an independent Def. 1 traversal
+// over ScanXforms/ScanXfers rows that shares no probe code with the
+// engines (tests/scan_oracle.h). Logical probe counts are pinned
+// separately by the bench baselines (bench/baselines/).
 // ---------------------------------------------------------------------------
 
-void ExpectModesAgree(testbed::Workbench* wb, const std::string& run_id,
-                      const std::vector<std::pair<PortRef, Index>>& queries,
-                      const std::vector<InterestSet>& interests) {
-  NaiveLineage ni_single(wb->store(), ProbeExecution::kSingleProbe);
-  NaiveLineage ni_batched(wb->store(), ProbeExecution::kBatched);
-  auto ip_single = IndexProjLineage::Create(wb->flow(), wb->store(),
-                                            ProbeExecution::kSingleProbe);
-  auto ip_batched = IndexProjLineage::Create(wb->flow(), wb->store(),
-                                             ProbeExecution::kBatched);
-  ASSERT_TRUE(ip_single.ok());
-  ASSERT_TRUE(ip_batched.ok());
+void ExpectEnginesMatchOracle(
+    testbed::Workbench* wb, const std::string& run_id,
+    const std::vector<std::pair<PortRef, Index>>& queries,
+    const std::vector<InterestSet>& interests) {
+  ScanOracle oracle(wb->store());
+  const LineageEngine* naive = wb->Engine("naive");
+  const LineageEngine* index_proj = wb->Engine("indexproj");
 
   for (const auto& [port, q] : queries) {
     for (const InterestSet& interest : interests) {
@@ -158,30 +165,14 @@ void ExpectModesAgree(testbed::Workbench* wb, const std::string& run_id,
                std::to_string(interest.size());
       };
 
-      auto ns = ni_single.Query(req);
-      auto nb = ni_batched.Query(req);
-      ASSERT_TRUE(ns.ok()) << tag() << ": " << ns.status().ToString();
-      ASSERT_TRUE(nb.ok()) << tag() << ": " << nb.status().ToString();
-      EXPECT_EQ(ns->bindings, nb->bindings) << "NI modes diverge at " << tag();
-      EXPECT_EQ(ns->timing.trace_probes, nb->timing.trace_probes)
-          << "NI logical probes changed at " << tag();
-      EXPECT_LE(nb->timing.trace_descents, ns->timing.trace_descents)
-          << "NI batching added descents at " << tag();
-
-      auto is = ip_single->Query(req);
-      auto ib = ip_batched->Query(req);
-      ASSERT_TRUE(is.ok()) << tag() << ": " << is.status().ToString();
-      ASSERT_TRUE(ib.ok()) << tag() << ": " << ib.status().ToString();
-      EXPECT_EQ(is->bindings, ib->bindings)
-          << "IndexProj modes diverge at " << tag();
-      EXPECT_EQ(is->timing.trace_probes, ib->timing.trace_probes)
-          << "IndexProj logical probes changed at " << tag();
-      EXPECT_LE(ib->timing.trace_descents, is->timing.trace_descents)
-          << "IndexProj batching added descents at " << tag();
-
-      // Cross-check: all four answers agree.
-      EXPECT_EQ(nb->bindings, ib->bindings)
-          << "NI vs IndexProj diverge at " << tag();
+      auto want = oracle.Query(req);
+      ASSERT_TRUE(want.ok()) << tag() << ": " << want.status().ToString();
+      auto ni = naive->Query(req);
+      ASSERT_TRUE(ni.ok()) << tag() << ": " << ni.status().ToString();
+      EXPECT_EQ(ni->bindings, *want) << "NI vs oracle at " << tag();
+      auto ip = index_proj->Query(req);
+      ASSERT_TRUE(ip.ok()) << tag() << ": " << ip.status().ToString();
+      EXPECT_EQ(ip->bindings, *want) << "IndexProj vs oracle at " << tag();
     }
   }
 }
@@ -209,7 +200,7 @@ TEST(BatchedModeEquivalence, Synthetic) {
       {{kWorkflowProcessor, "RESULT"}, Index({1, 2})},
       {{kWorkflowProcessor, "RESULT"}, Index({3})},
   };
-  ExpectModesAgree(&*wb, "r0", queries,
+  ExpectEnginesMatchOracle(&*wb, "r0", queries,
                    {{}, {kWorkflowProcessor}, {testbed::kListGen}});
 }
 
@@ -218,7 +209,7 @@ TEST(BatchedModeEquivalence, GK) {
   auto run = wb->Run({{"list_of_geneIDList", testbed::GkSampleInput()}}, "r0");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   InterestSet one{wb->flow()->processors().front().name};
-  ExpectModesAgree(&*wb, "r0", OutputQueries(*run),
+  ExpectEnginesMatchOracle(&*wb, "r0", OutputQueries(*run),
                    {{}, {kWorkflowProcessor}, one});
 }
 
@@ -227,7 +218,7 @@ TEST(BatchedModeEquivalence, PD) {
   auto run = wb->Run({{"terms", testbed::PdSampleInput()}}, "r0");
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   InterestSet one{wb->flow()->processors().front().name};
-  ExpectModesAgree(&*wb, "r0", OutputQueries(*run),
+  ExpectEnginesMatchOracle(&*wb, "r0", OutputQueries(*run),
                    {{}, {kWorkflowProcessor}, one});
 }
 
@@ -262,7 +253,8 @@ TEST_P(ModeEquivalenceFuzz, RandomWorkflows) {
   }
   const auto& procs = gen.flow->processors();
   InterestSet one{procs[rng.Uniform(procs.size())].name};
-  ExpectModesAgree(&*wb, "r0", queries, {{}, {kWorkflowProcessor}, one});
+  ExpectEnginesMatchOracle(&*wb, "r0", queries,
+                           {{}, {kWorkflowProcessor}, one});
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModeEquivalenceFuzz,

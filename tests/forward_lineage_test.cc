@@ -141,6 +141,40 @@ TEST_F(ForwardSynthetic, ProbeAsymmetryFavorsIndexProj) {
   EXPECT_GT(ni->timing.trace_probes, ip->timing.trace_probes);
 }
 
+TEST(ForwardSealedTier, ProbeCountsMatchHotStore) {
+  // Sealing is purely physical: both forward engines must report the
+  // same logical probes whether the run is answered from the hot
+  // B+-trees or from its sealed segments.
+  provenance::TraceStoreOptions options;
+  options.shards = 1;
+  options.compress = provenance::CompressMode::kOff;
+  auto wb = std::move(*Workbench::Synthetic(3, options));
+  ASSERT_TRUE(wb->RunSynthetic(4, "r0").ok());
+  auto fwd = ForwardIndexProjLineage::Create(wb->flow(), wb->store());
+  ASSERT_TRUE(fwd.ok());
+  NaiveForwardLineage naive(wb->store());
+  PortRef target{kWorkflowProcessor, "ListSize"};
+  InterestSet interest{kWorkflowProcessor};
+
+  auto hot_ni = naive.Query("r0", target, Index(), interest);
+  auto hot_ip = fwd->Query("r0", target, Index(), interest);
+  ASSERT_TRUE(hot_ni.ok()) << hot_ni.status().ToString();
+  ASSERT_TRUE(hot_ip.ok()) << hot_ip.status().ToString();
+  ASSERT_GT(hot_ni->timing.trace_probes, 0u);
+  ASSERT_GT(hot_ip->timing.trace_probes, 0u);
+
+  ASSERT_TRUE(wb->store()->SealAllRuns().ok());
+  ASSERT_GT(wb->store()->ApproxMemory().sealed_rows, 0u);
+  auto sealed_ni = naive.Query("r0", target, Index(), interest);
+  auto sealed_ip = fwd->Query("r0", target, Index(), interest);
+  ASSERT_TRUE(sealed_ni.ok()) << sealed_ni.status().ToString();
+  ASSERT_TRUE(sealed_ip.ok()) << sealed_ip.status().ToString();
+  EXPECT_EQ(sealed_ni->bindings, hot_ni->bindings);
+  EXPECT_EQ(sealed_ip->bindings, hot_ip->bindings);
+  EXPECT_EQ(sealed_ni->timing.trace_probes, hot_ni->timing.trace_probes);
+  EXPECT_EQ(sealed_ip->timing.trace_probes, hot_ip->timing.trace_probes);
+}
+
 TEST_F(ForwardSynthetic, MultiRunImpact) {
   ASSERT_TRUE(wb_->RunSynthetic(3, "r1").ok());
   auto ip = fwd_->QueryMultiRun({"r0", "r1"}, {testbed::kListGen, "list"},

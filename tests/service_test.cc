@@ -299,6 +299,34 @@ TEST_F(ServiceTest, RegistrySnapshotMatchesInstanceMetrics) {
   EXPECT_GT(inst.trace_probes, 0u);
 }
 
+TEST(ServiceProbeMemoIsolation, StoresWithSameInternOrderDoNotShareMemo) {
+  // Two stores that intern their names in the same order hand out the
+  // same store-local ids for the same names. One batch spanning both
+  // shares one probe memo, so the memo key must tell the stores apart:
+  // otherwise store b is answered with store a's (smaller) trace rows.
+  auto a = std::move(*Workbench::Synthetic(3));
+  auto b = std::move(*Workbench::Synthetic(3));
+  ASSERT_TRUE(a->RunSynthetic(4, "r0").ok());
+  ASSERT_TRUE(b->RunSynthetic(6, "r0").ok());
+  LineageRequest req = LineageRequest::SingleRun(
+      "r0", PortRef{kWorkflowProcessor, "RESULT"}, Index(), {});
+
+  std::vector<ServiceRequest> batch = {{a->Engine("naive"), req},
+                                       {b->Engine("naive"), req}};
+  LineageService service({/*num_threads=*/1, /*group_same_plan=*/true});
+  std::vector<ServiceResponse> responses = service.ExecuteBatch(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_TRUE(responses[i].status.ok()) << responses[i].status.ToString();
+    auto direct = batch[i].engine->Query(req);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    ASSERT_EQ(responses[i].answer.bindings.size(), direct->bindings.size())
+        << "store " << i;
+    EXPECT_TRUE(responses[i].answer.bindings == direct->bindings)
+        << "store " << i;
+  }
+}
+
 TEST_F(ServiceTest, EngineInterfaceReportsNames) {
   EXPECT_EQ(synth_->Engine("naive")->name(), "naive");
   EXPECT_EQ(synth_->Engine("indexproj")->name(), "indexproj");

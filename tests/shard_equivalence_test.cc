@@ -1,7 +1,7 @@
 // Run sharding is purely physical (DESIGN.md §11): a TraceStore opened
 // with N > 1 shards must answer every lineage query with bindings
-// identical to the unsharded store — for both engines, both probe
-// execution modes, single- and multi-run requests — and EXPLAIN must
+// identical to the unsharded store (and to the scan oracle) — for both
+// engines, single- and multi-run requests — and EXPLAIN must
 // report the same logical row counts per step. The suite sweeps the
 // paper workloads (GK, PD, synthetic) plus random workflows over
 // N ∈ {1, 2, 4, 7}, and TSan-stresses concurrent ingest-while-querying
@@ -24,6 +24,7 @@
 #include "lineage/naive_lineage.h"
 #include "provenance/trace_store.h"
 #include "tests/random_workflow.h"
+#include "tests/scan_oracle.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
 #include "testbed/synthetic.h"
@@ -37,6 +38,7 @@ using testbed::Workbench;
 using testbed_testing::GeneratedWorkflow;
 using testbed_testing::IsDotShapeMismatch;
 using testbed_testing::MakeRandomWorkflow;
+using testbed_testing::ScanOracle;
 using workflow::kWorkflowProcessor;
 using workflow::PortRef;
 
@@ -55,9 +57,9 @@ using Factory = std::function<Populated(const TraceStoreOptions&)>;
 const size_t kShardCounts[] = {2, 4, 7};
 
 /// Asserts that `make` produces identical answers at 1 shard and at
-/// every count in kShardCounts: bindings and logical probe counts from
-/// both engines in both probe modes, multi-run answers, EXPLAIN row
-/// counts, and the record totals themselves.
+/// every count in kShardCounts: bindings (also against the scan oracle)
+/// and logical probe counts from both engines, multi-run answers,
+/// EXPLAIN row counts, and the record totals themselves.
 void ExpectShardingIsPurelyPhysical(const Factory& make) {
   TraceStoreOptions base_options;
   base_options.shards = 1;  // pin: immune to PROVLIN_TEST_SHARDS
@@ -70,8 +72,7 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
   auto base_runs = base.wb->store()->ListRuns();
   ASSERT_TRUE(base_runs.ok());
 
-  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store(),
-                                          ProbeExecution::kBatched);
+  auto base_ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
   ASSERT_TRUE(base_ip.ok());
 
   for (size_t nshards : kShardCounts) {
@@ -100,31 +101,22 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
                 provenance::RunShardHash(run) % nshards);
     }
 
-    // The property is per engine and per probe mode: the SAME engine on
-    // the sharded store answers exactly as on the unsharded store.
+    // The property is per engine: the SAME engine on the sharded store
+    // answers exactly as on the unsharded store.
     // (NI-vs-IndexProj equivalence is the main suite's concern.)
-    NaiveLineage ni_single(base.wb->store(), ProbeExecution::kSingleProbe);
-    NaiveLineage ni_batched(base.wb->store(), ProbeExecution::kBatched);
-    auto ip_single = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kSingleProbe);
-    auto ip_batched = IndexProjLineage::Create(
-        base.wb->flow(), base.wb->store(), ProbeExecution::kBatched);
-    ASSERT_TRUE(ip_single.ok());
-    ASSERT_TRUE(ip_batched.ok());
-    NaiveLineage sh_ni_single(store, ProbeExecution::kSingleProbe);
-    NaiveLineage sh_ni_batched(store, ProbeExecution::kBatched);
-    auto sh_ip_batched = IndexProjLineage::Create(
-        sharded.wb->flow(), store, ProbeExecution::kBatched);
-    auto sh_ip_single = IndexProjLineage::Create(
-        sharded.wb->flow(), store, ProbeExecution::kSingleProbe);
-    ASSERT_TRUE(sh_ip_batched.ok());
-    ASSERT_TRUE(sh_ip_single.ok());
+    NaiveLineage ni(base.wb->store());
+    auto ip = IndexProjLineage::Create(base.wb->flow(), base.wb->store());
+    ASSERT_TRUE(ip.ok());
+    NaiveLineage sh_ni(store);
+    auto sh_ip = IndexProjLineage::Create(sharded.wb->flow(), store);
+    ASSERT_TRUE(sh_ip.ok());
     const std::pair<const LineageEngine*, const LineageEngine*> pairs[] = {
-        {&ni_single, &sh_ni_single},
-        {&ni_batched, &sh_ni_batched},
-        {&*ip_single, &*sh_ip_single},
-        {&*ip_batched, &*sh_ip_batched},
+        {&ni, &sh_ni},
+        {&*ip, &*sh_ip},
     };
+    // The scan oracle reads the sharded store's rows without any probe
+    // code (tests/scan_oracle.h): both engines must match it too.
+    ScanOracle oracle(store);
 
     for (const auto& [port, q] : base.queries) {
       for (const InterestSet& interest : base.interests) {
@@ -133,9 +125,15 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
                  std::to_string(interest.size()) + " shards=" +
                  std::to_string(nshards);
         };
+        bool all_addressed = true;
         for (const std::string& run : base.runs) {
           LineageRequest req =
               LineageRequest::SingleRun(run, port, q, interest);
+          auto oracle_want = oracle.Query(req);
+          ASSERT_TRUE(oracle_want.ok()) << tag();
+          auto addressed = oracle.Addresses(run, port, q);
+          ASSERT_TRUE(addressed.ok()) << tag();
+          all_addressed = all_addressed && *addressed;
           for (const auto& [unsharded, shardeng] : pairs) {
             auto want = unsharded->Query(req);
             ASSERT_TRUE(want.ok())
@@ -147,6 +145,13 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
             ASSERT_EQ(got->bindings, want->bindings)
                 << shardeng->name() << " diverges at " << tag() << " run "
                 << run;
+            // IndexProj is only defined on indices the run recorded
+            // (ScanOracle::Addresses); NI is checked everywhere.
+            if (shardeng == &sh_ni || *addressed) {
+              ASSERT_EQ(got->bindings, *oracle_want)
+                  << shardeng->name() << " vs oracle at " << tag() << " run "
+                  << run;
+            }
             // Sharding must not change the logical probe count either —
             // only where the probes land.
             EXPECT_EQ(got->timing.trace_probes, want->timing.trace_probes)
@@ -156,7 +161,7 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
           // EXPLAIN against the sharded store mirrors the unsharded
           // plan: same steps, same logical row and binding counts.
           auto base_ex = base_ip->Explain(req);
-          auto sh_ex = sh_ip_batched->Explain(req);
+          auto sh_ex = sh_ip->Explain(req);
           ASSERT_TRUE(base_ex.ok()) << tag();
           ASSERT_TRUE(sh_ex.ok()) << tag();
           EXPECT_EQ(sh_ex->answer.bindings, base_ex->answer.bindings);
@@ -180,6 +185,8 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
           multi.target = port;
           multi.index = q;
           multi.interest = interest;
+          auto oracle_multi = oracle.Query(multi);
+          ASSERT_TRUE(oracle_multi.ok()) << tag();
           for (const auto& [unsharded, shardeng] : pairs) {
             auto want = unsharded->Query(multi);
             ASSERT_TRUE(want.ok()) << tag();
@@ -188,6 +195,11 @@ void ExpectShardingIsPurelyPhysical(const Factory& make) {
             EXPECT_EQ(got->bindings, want->bindings)
                 << "multi-run " << shardeng->name() << " diverges at "
                 << tag();
+            if (shardeng == &sh_ni || all_addressed) {
+              EXPECT_EQ(got->bindings, *oracle_multi)
+                  << "multi-run " << shardeng->name() << " vs oracle at "
+                  << tag();
+            }
           }
         }
       }
@@ -388,7 +400,7 @@ TEST(ShardConcurrency, IngestWhileQueryingKeepsAnswersStable) {
   LineageRequest req = LineageRequest::SingleRun(
       "stable", {kWorkflowProcessor, "RESULT"}, Index({1, 2}),
       {testbed::kListGen});
-  NaiveLineage naive(wb->store(), ProbeExecution::kBatched);
+  NaiveLineage naive(wb->store());
   auto expected = naive.Query(req);
   ASSERT_TRUE(expected.ok());
   ASSERT_FALSE(expected->bindings.empty());

@@ -152,14 +152,18 @@ TEST_P(TraceProbeFuzzTest, XferOverlapProbesMatchBruteForce) {
 }
 
 // The batch finders answer a vector of port probes in one storage batch;
-// slot i must carry exactly what the corresponding single-probe call
-// returns, in the same order — with and without an active probe memo,
-// and with duplicate probes in the batch.
+// slot i must carry exactly the rows a brute-force overlap filter over
+// the inserted records selects (as a multiset), and exactly what the
+// corresponding single-probe call (a one-element batch) returns, in the
+// same order — with and without an active probe memo, and with
+// duplicate probes in the batch.
 TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
   Random rng(GetParam() * 131 + 17);
   storage::Database db;
   auto store = *TraceStore::Open(&db);
 
+  std::vector<XformRecord> xforms;
+  std::vector<XferRecord> xfers;
   for (int i = 0; i < 150; ++i) {
     XformRecord rec;
     rec.run = store.Intern("run" + std::to_string(rng.Uniform(2)));
@@ -174,6 +178,7 @@ TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
     rec.out_index = RandomIndex(&rng, 3, 3);
     rec.out_value = static_cast<int64_t>(i);
     ASSERT_TRUE(store.InsertXform(rec).ok());
+    xforms.push_back(rec);
   }
   for (int i = 0; i < 100; ++i) {
     XferRecord rec;
@@ -186,6 +191,7 @@ TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
     rec.dst_index = RandomIndex(&rng, 3, 3);
     rec.value_id = i;
     ASSERT_TRUE(store.InsertXfer(rec).ok());
+    xfers.push_back(rec);
   }
 
   auto xform_key = [](const XformRecord& r) {
@@ -197,6 +203,52 @@ TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
     return std::make_tuple(r.run, r.src_proc, r.src_port, r.src_index,
                            r.dst_proc, r.dst_port, r.dst_index, r.value_id);
   };
+
+  // Brute-force reference, independent of the probe path: the inserted
+  // records of the probe's run whose (processor, port) matches on the
+  // probed side and whose index overlaps, compared as sorted key
+  // multisets (record values are distinct, so no row dedups away).
+  auto sorted_keys = [](const auto& rows, const auto& key) {
+    std::vector<decltype(key(rows.front()))> keys;
+    for (const auto& r : rows) keys.push_back(key(r));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  auto expect_xforms = [&](const PortProbe& p, bool out) {
+    std::vector<XformRecord> rows;
+    for (const XformRecord& r : xforms) {
+      if (r.run == p.run && r.processor == p.processor &&
+          (out ? r.out_port : r.in_port) == p.port &&
+          Overlaps(out ? r.out_index : r.in_index, p.index)) {
+        rows.push_back(r);
+      }
+    }
+    return rows;
+  };
+  auto expect_xfers = [&](const PortProbe& p, bool from) {
+    std::vector<XferRecord> rows;
+    for (const XferRecord& r : xfers) {
+      if (r.run == p.run && (from ? r.src_proc : r.dst_proc) == p.processor &&
+          (from ? r.src_port : r.dst_port) == p.port &&
+          Overlaps(from ? r.src_index : r.dst_index, p.index)) {
+        rows.push_back(r);
+      }
+    }
+    return rows;
+  };
+  auto check_brute_force =
+      [&](const std::vector<std::vector<XformRecord>>& got,
+          const std::vector<std::vector<XferRecord>>& xgot,
+          const std::vector<PortProbe>& probes, bool out_side) {
+        for (size_t i = 0; i < probes.size(); ++i) {
+          EXPECT_EQ(sorted_keys(got[i], xform_key),
+                    sorted_keys(expect_xforms(probes[i], out_side), xform_key))
+              << "xform slot " << i << " out_side=" << out_side;
+          EXPECT_EQ(sorted_keys(xgot[i], xfer_key),
+                    sorted_keys(expect_xfers(probes[i], out_side), xfer_key))
+              << "xfer slot " << i << " out_side=" << out_side;
+        }
+      };
 
   ProbeMemo memo;
   for (int round = 0; round < 20; ++round) {
@@ -226,6 +278,7 @@ TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
       ASSERT_TRUE(xbatch.ok());
       ASSERT_EQ(batch->size(), probes.size());
       ASSERT_EQ(xbatch->size(), probes.size());
+      check_brute_force(*batch, *xbatch, probes, /*out_side=*/true);
       for (size_t i = 0; i < probes.size(); ++i) {
         auto single =
             store.FindProducing(run, probes[i].processor, probes[i].port,
@@ -250,6 +303,7 @@ TEST_P(TraceProbeFuzzTest, BatchFindersMatchSingleProbes) {
       ASSERT_TRUE(xbatch.ok());
       ASSERT_EQ(batch->size(), probes.size());
       ASSERT_EQ(xbatch->size(), probes.size());
+      check_brute_force(*batch, *xbatch, probes, /*out_side=*/false);
       for (size_t i = 0; i < probes.size(); ++i) {
         auto single =
             store.FindConsuming(run, probes[i].processor, probes[i].port,
