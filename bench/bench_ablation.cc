@@ -92,7 +92,9 @@ void AblationProbeShape() {
 
   // Naive alternative: fetch every binding of the port, filter here.
   const storage::Table* xform =
-      CheckResult(wb->db()->GetTable(provenance::tables::kXform), "table");
+      CheckResult(wb->db()->GetTable(provenance::ShardTableName(
+                      provenance::tables::kXform, 0)),
+                  "table");
   double scan_all = CheckResult(
       bench::BestOfFive([&]() -> Status {
         storage::SelectQuery q;

@@ -1,7 +1,7 @@
 // Ingest throughput across run shards: producer threads stream
 // pre-built xform rows into a TraceStore at 1/2/4/8 shards with async
-// per-shard writer threads (DESIGN.md §11), against the synchronous
-// unsharded legacy path. Every configuration ingests the identical row
+// per-shard writer threads (DESIGN.md §11), against synchronous
+// single-shard ingest on the producer threads. Every configuration ingests the identical row
 // stream, so the BENCH JSON "probes" column carries the deterministic
 // total row count — the baseline check proves no configuration drops
 // rows. Wall time is the measurement: with one shard every B+-tree
@@ -136,7 +136,7 @@ int main() {
     table.AddRow({mode, std::to_string(shards), bench::Ms(ms), rate, speedup});
   };
 
-  // Legacy reference: synchronous single-shard ingest on the callers.
+  // Reference: synchronous single-shard ingest on the callers.
   double sync_ms = best_of(1, /*async=*/false);
 
   double async1_ms = best_of(1, /*async=*/true);

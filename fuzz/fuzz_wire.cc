@@ -25,12 +25,11 @@ using provlin::lineage::wire::DecodeRequestEnvelope;
 using provlin::lineage::wire::DecodeResponseEnvelope;
 using provlin::lineage::wire::DecodeStatsRequest;
 using provlin::lineage::wire::DecodeStatsResponse;
-using provlin::lineage::wire::EncodeAnswerResponse;
 using provlin::lineage::wire::EncodeAnswerResponseV2;
+using provlin::lineage::wire::EncodeErrorResponse;
 using provlin::lineage::wire::EncodeRequestEnvelope;
 using provlin::lineage::wire::EncodeStatsRequest;
 using provlin::lineage::wire::EncodeStatsResponse;
-using provlin::lineage::wire::kWireVersionLegacy;
 
 namespace {
 
@@ -60,18 +59,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     if (reencoded != payload) Fail("EncodeRequestEnvelope(decode(x)) != x", payload);
   }
   if (auto resp = DecodeResponseEnvelope(payload); resp.ok()) {
-    if (resp->ok && !resp->has_timeline &&
-        resp->version == kWireVersionLegacy) {
-      std::string reencoded =
-          EncodeAnswerResponse(resp->request_id, resp->answer);
-      if (reencoded != payload) Fail("EncodeAnswerResponse(decode(x)) != x", payload);
-    } else if (resp->ok && resp->version != kWireVersionLegacy) {
+    if (resp->ok) {
       std::string reencoded = EncodeAnswerResponseV2(
           resp->request_id, resp->answer,
           resp->has_timeline ? &resp->timeline : nullptr);
       if (reencoded != payload) {
         Fail("EncodeAnswerResponseV2(decode(x)) != x", payload);
       }
+    } else if (EncodeErrorResponse(resp->request_id, resp->code,
+                                   resp->message) != payload) {
+      Fail("EncodeErrorResponse(decode(x)) != x", payload);
     }
   }
   if (auto stats_req = DecodeStatsRequest(payload); stats_req.ok()) {

@@ -55,12 +55,11 @@ LineageAnswer MakeAnswer() {
 }
 
 std::vector<std::string> WireSeeds() {
-  RequestEnvelope v2_envelope;
-  v2_envelope.request_id = 45;
-  v2_envelope.engine = "naive";
-  v2_envelope.request = MakeRequest();
-  v2_envelope.version = kWireVersion;
-  v2_envelope.want_timeline = true;
+  RequestEnvelope timeline_envelope;
+  timeline_envelope.request_id = 45;
+  timeline_envelope.engine = "naive";
+  timeline_envelope.request = MakeRequest();
+  timeline_envelope.want_timeline = true;
 
   RequestTimeline timeline;
   timeline.queue_ms = 0.5;
@@ -75,12 +74,14 @@ std::vector<std::string> WireSeeds() {
   stats_response.prometheus_text = "provlin_server_requests 5\n";
   stats_response.metrics_json = "{}";
 
+  // Flags-0 and timeline-less shapes stay in the corpus beside their
+  // timeline twins, so both sides of every flag byte are seeded.
   return {
       EncodeRequestEnvelope({42, "indexproj", MakeRequest()}),
       EncodeRequestEnvelope({}),
-      EncodeAnswerResponse(43, MakeAnswer()),
+      EncodeAnswerResponseV2(43, MakeAnswer(), nullptr),
       EncodeErrorResponse(44, ErrorCode::kOverloaded, "queue full"),
-      EncodeRequestEnvelope(v2_envelope),
+      EncodeRequestEnvelope(timeline_envelope),
       EncodeAnswerResponseV2(45, MakeAnswer(), &timeline),
       EncodeStatsRequest({46, kStatsWantMetrics | kStatsWantTrace}),
       EncodeStatsResponse(stats_response),

@@ -281,9 +281,9 @@ Status CmdRun(const Args& args, std::ostream& out) {
   PROVLIN_RETURN_IF_ERROR(RequireFlag(args, "run"));
   PROVLIN_ASSIGN_OR_RETURN(LoadedWorkflow loaded,
                            LoadWorkflow(*args.Get("workflow")));
-  // --wal attaches store-owned per-shard capture WALs: one file per
-  // shard plus a manifest when sharded; at one shard this is exactly
-  // the legacy single-file layout.
+  // --wal attaches store-owned per-shard capture WALs: one
+  // <wal>.shard-k file per shard plus <wal>.manifest, at any shard
+  // count.
   PROVLIN_ASSIGN_OR_RETURN(provenance::OpenedStore opened,
                            OpenStoreFromArgs(args));
   provenance::TraceStore& store = opened.store();

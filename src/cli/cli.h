@@ -73,7 +73,8 @@ namespace provlin::cli {
 ///            saturation); --trace-out additionally pulls the server's
 ///            tracer ring as Chrome trace-event JSON.
 ///   sql      --db FILE "SELECT ..."
-///            Run a SQL query against the trace database.
+///            Run a SQL query against the trace database. Tables are
+///            one shard's physical tables: xform#0, xfer#0, runs#0, …
 ///   dot      --db FILE --run ID
 ///            Emit the run's provenance graph in Graphviz format.
 ///   export   --db FILE --run ID

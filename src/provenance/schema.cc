@@ -73,7 +73,6 @@ Status EnsureShardTables(storage::Database* db, size_t shard) {
 }
 
 std::string ShardTableName(const char* base, size_t shard) {
-  if (shard == 0) return base;
   return std::string(base) + "#" + std::to_string(shard);
 }
 
@@ -88,10 +87,6 @@ uint64_t RunShardHash(std::string_view run_id) {
   return h;
 }
 
-Status CreateProvenanceSchema(storage::Database* db) {
-  return CreateProvenanceSchema(db, 1);
-}
-
 Status CreateProvenanceSchema(storage::Database* db, size_t shards) {
   if (shards == 0) shards = 1;
   for (size_t k = 0; k < shards; ++k) {
@@ -102,30 +97,18 @@ Status CreateProvenanceSchema(storage::Database* db, size_t shards) {
 
 Result<size_t> DetectShardCount(const storage::Database& db) {
   auto meta = db.GetTable(tables::kShardMeta);
-  if (meta.ok()) {
-    for (uint64_t rid : meta.value()->FullScan()) {
-      PROVLIN_ASSIGN_OR_RETURN(storage::Row row, meta.value()->Get(rid));
-      int64_t n = row[0].AsInt();
-      if (n < 1) return Status::Corruption("shard_meta records " +
-                                           std::to_string(n) + " shards");
-      return static_cast<size_t>(n);
-    }
-    return Status::Corruption("shard_meta table is empty");
+  if (!meta.ok()) return size_t{0};
+  for (uint64_t rid : meta.value()->FullScan()) {
+    PROVLIN_ASSIGN_OR_RETURN(storage::Row row, meta.value()->Get(rid));
+    int64_t n = row[0].AsInt();
+    if (n < 1) return Status::Corruption("shard_meta records " +
+                                         std::to_string(n) + " shards");
+    return static_cast<size_t>(n);
   }
-  // Legacy images carry no shard_meta: the unsuffixed tables, if
-  // present, are a single-shard layout.
-  return db.GetTable(tables::kXform).ok() ? size_t{1} : size_t{0};
+  return Status::Corruption("shard_meta table is empty");
 }
 
 Status WriteShardMeta(storage::Database* db, size_t shards) {
-  if (shards <= 1) {
-    // Single-shard layouts stay byte-identical to pre-sharding images:
-    // no meta table at all.
-    if (db->GetTable(tables::kShardMeta).ok()) {
-      PROVLIN_RETURN_IF_ERROR(db->DropTable(tables::kShardMeta));
-    }
-    return Status::OK();
-  }
   Table* meta = nullptr;
   auto existing = db->GetTable(tables::kShardMeta);
   if (existing.ok()) {

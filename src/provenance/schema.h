@@ -37,8 +37,7 @@ inline constexpr const char* kRuns = "runs";
 inline constexpr const char* kVal = "val";
 inline constexpr const char* kXform = "xform";
 inline constexpr const char* kXfer = "xfer";
-/// Single-row catalog table recording the shard count of a sharded
-/// store image (absent in unsharded images, which predate sharding).
+/// Single-row catalog table recording the store's shard count.
 inline constexpr const char* kShardMeta = "shard_meta";
 }  // namespace tables
 
@@ -52,15 +51,11 @@ inline constexpr const char* kXferSrc = "xfer_src";
 inline constexpr const char* kRunsById = "runs_by_id";
 }  // namespace indexes
 
-/// Creates the four trace tables and their indexes in `db`.
-Status CreateProvenanceSchema(storage::Database* db);
-
 // --- run sharding (DESIGN.md §11) ------------------------------------------
 //
-// A sharded store keeps one physical copy of the trace tables per shard.
-// Shard 0 keeps the legacy unsuffixed names above (so an N=1 store is
-// byte-identical to the historical layout); shard k > 0 uses the base
-// name suffixed with "#k" ("xform#2"). Every table keys rows by run in
+// A store keeps one physical copy of the trace tables per shard, named
+// by the base name suffixed with "#k" ("xform#0", "xform#2") at every
+// shard count, one included. Every table keys rows by run in
 // column 0, so a run's rows live wholly inside the shard its id hashes
 // to — the property the fan-out/merge probe layer and per-shard WALs
 // rely on.
@@ -72,8 +67,8 @@ std::string ShardTableName(const char* base, size_t shard);
 /// (FNV-1a 64); the owning shard of a run is RunShardHash(id) % N.
 uint64_t RunShardHash(std::string_view run_id);
 
-/// Creates the trace tables and indexes for `shards` shards, plus the
-/// shard_meta record when `shards` > 1.
+/// Creates the four trace tables and their indexes for each of
+/// `shards` shards, plus the shard_meta record.
 Status CreateProvenanceSchema(storage::Database* db, size_t shards);
 
 /// Creates shard `shard`'s copy of the four trace tables if missing
@@ -81,13 +76,12 @@ Status CreateProvenanceSchema(storage::Database* db, size_t shards);
 /// suffixing: IndexSpec names are scoped to their table.
 Status EnsureShardTables(storage::Database* db, size_t shard);
 
-/// Shard count recorded in `db`: the shard_meta row if present, 1 if
-/// the (legacy, unsuffixed) schema exists without one, 0 if the
-/// provenance schema has not been created at all.
+/// Shard count recorded in `db`'s shard_meta row, 0 if the provenance
+/// schema has not been created at all.
 Result<size_t> DetectShardCount(const storage::Database& db);
 
-/// Rewrites the shard_meta record (creating or dropping the table as
-/// needed) to record `shards`.
+/// Rewrites the shard_meta record (creating the table if needed) to
+/// record `shards`.
 Status WriteShardMeta(storage::Database* db, size_t shards);
 
 }  // namespace provlin::provenance

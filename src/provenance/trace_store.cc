@@ -17,6 +17,7 @@
 #include "provenance/schema.h"
 #include "storage/segment.h"
 #include "storage/serialize.h"
+#include "storage/wal.h"
 #include "values/value_parser.h"
 
 namespace provlin::provenance {
@@ -383,9 +384,8 @@ constexpr size_t kMaxQueuedRows = 4096;
 
 // ---------------------------------------------------------------------------
 // Shard: one partition's tables, WAL, and ingest machinery.
-// Lock order within a shard: ingest_mu before data_mu before the
-// facade's shared-WAL mutex; none of the three is ever acquired in the
-// reverse direction (DESIGN.md §11 extends the §10 lock table).
+// Lock order within a shard: ingest_mu before data_mu; never the
+// reverse (DESIGN.md §11 extends the §10 lock table).
 // ---------------------------------------------------------------------------
 
 struct TraceStore::Shard {
@@ -499,13 +499,6 @@ struct TraceStore::Rep {
   common::Mutex run_mu{common::LockRank::kStoreRunSeq};
   int64_t next_run_seq GUARDED_BY(run_mu) = 0;
 
-  /// Single externally-attached WAL shared by all shards (legacy
-  /// AttachWal surface). Appends from concurrent writer threads
-  /// serialize here; per-shard owned WALs do not take this lock.
-  common::Mutex wal_mu{common::LockRank::kStoreSharedWal};
-  storage::WriteAheadLog* shared_wal GUARDED_BY(wal_mu) = nullptr;
-  size_t shared_wal_syms GUARDED_BY(wal_mu) = 0;
-
   common::metrics::Counter* rows_ingested = nullptr;
 
   ~Rep() {
@@ -535,37 +528,6 @@ struct TraceStore::Rep {
   }
 
   Shard* ShardForSym(SymbolId run) { return shards[ShardIdOfSym(run)].get(); }
-
-  /// Appends one row to the shared WAL (no-op when detached), flushing
-  /// the symbol-definition tail first. Called with the shard's data_mu
-  /// held exclusively; wal_mu nests inside it.
-  Status LogShared(uint8_t tag, const Row& row) EXCLUDES(wal_mu) {
-    common::MutexLock lock(wal_mu);
-    if (shared_wal == nullptr) return Status::OK();
-    const common::SymbolTable& symbols = db->symbols();
-    while (shared_wal_syms < symbols.size()) {
-      storage::BinaryWriter w;
-      w.WriteU8(kTagSymbol);
-      w.WriteString(symbols.NameOf(static_cast<SymbolId>(shared_wal_syms)));
-      PROVLIN_RETURN_IF_ERROR(shared_wal->Append(w.buffer()));
-      ++shared_wal_syms;
-    }
-    storage::BinaryWriter w;
-    w.WriteU8(tag);
-    w.WriteRow(row);
-    return shared_wal->Append(w.buffer());
-  }
-
-  /// Same for a run-deletion record (string payload, no symbol flush —
-  /// the record carries the run id verbatim).
-  Status LogSharedDelete(const std::string& run_id) EXCLUDES(wal_mu) {
-    common::MutexLock lock(wal_mu);
-    if (shared_wal == nullptr) return Status::OK();
-    storage::BinaryWriter w;
-    w.WriteU8(kTagDeleteRun);
-    w.WriteString(run_id);
-    return shared_wal->Append(w.buffer());
-  }
 
   /// Seals one run's trace rows into compressed segments: encode each
   /// table's rows, delete them from the hot tier, park the encoded
@@ -679,7 +641,6 @@ struct TraceStore::Rep {
       w.WriteRow(p.row);
       PROVLIN_RETURN_IF_ERROR(s->owned_wal->Append(w.buffer()));
     }
-    PROVLIN_RETURN_IF_ERROR(LogShared(p.tag, p.row));
     // Late writes to a sealed run (out-of-order capture, replayed
     // rows) transparently pull the run back into the hot tier first.
     if ((p.tag == kTagXform || p.tag == kTagXfer) &&
@@ -1087,12 +1048,10 @@ IndexId TraceStore::InternIndex(const Index& index) const {
 // WAL attach / replay
 // ---------------------------------------------------------------------------
 
-void TraceStore::AttachWal(storage::WriteAheadLog* wal) {
-  common::MutexLock lock(rep_->wal_mu);
-  rep_->shared_wal = wal;
-}
-
 Status TraceStore::AttachWalFiles(const std::string& base) {
+  // Manifest first: a crash before a shard opens its file leaves that
+  // file missing, which replay tolerates, never files without a manifest.
+  PROVLIN_RETURN_IF_ERROR(storage::WriteWalManifest(base, rep_->nshards));
   for (auto& shard : rep_->shards) {
     PROVLIN_ASSIGN_OR_RETURN(
         storage::WriteAheadLog wal,
@@ -1100,17 +1059,13 @@ Status TraceStore::AttachWalFiles(const std::string& base) {
     common::WriterLock data(shard->data_mu);
     shard->owned_wal.emplace(std::move(wal));
   }
-  if (rep_->nshards > 1) {
-    PROVLIN_RETURN_IF_ERROR(storage::WriteWalManifest(base, rep_->nshards));
-  }
   return Status::OK();
 }
 
 Result<size_t> TraceStore::ReplayWal(const std::string& wal_path,
                                      storage::Database* db, size_t shards) {
-  auto manifest = storage::ReadWalManifest(wal_path);
-  const size_t wal_shards = manifest.ok() ? manifest.value() : 1;
-
+  PROVLIN_ASSIGN_OR_RETURN(size_t wal_shards,
+                           storage::ReadWalManifest(wal_path));
   PROVLIN_ASSIGN_OR_RETURN(size_t existing, DetectShardCount(*db));
   size_t target = shards;
   if (target == 0) target = existing > 0 ? existing : wal_shards;
@@ -1126,12 +1081,9 @@ Result<size_t> TraceStore::ReplayWal(const std::string& wal_path,
   size_t applied = 0;
   for (size_t k = 0; k < wal_shards; ++k) {
     const std::string path = storage::ShardWalPath(wal_path, k);
-    if (k > 0) {
-      // A shard file can legitimately be missing if the manifest was
-      // written but that shard crashed before creating its log.
-      std::ifstream probe(path, std::ios::binary);
-      if (!probe) continue;
-    }
+    // A shard file can legitimately be missing if the manifest was
+    // written but that shard crashed before creating its log.
+    if (!std::ifstream(path, std::ios::binary)) continue;
     PROVLIN_ASSIGN_OR_RETURN(std::vector<std::string> records,
                              storage::WriteAheadLog::Replay(path));
     for (const std::string& record : records) {
@@ -1146,7 +1098,7 @@ Result<size_t> TraceStore::ReplayWal(const std::string& wal_path,
         // Replay-skip: sweep the deleted run's rows out of its owning
         // shard, exactly as the live DeleteRun did.
         PROVLIN_ASSIGN_OR_RETURN(std::string run_id, r.ReadString());
-        size_t owner = target == 1 ? 0 : RunShardHash(run_id) % target;
+        size_t owner = RunShardHash(run_id) % target;
         PROVLIN_RETURN_IF_ERROR(SweepRunRows(db, owner, run_id).status());
         continue;
       }
@@ -1159,7 +1111,7 @@ Result<size_t> TraceStore::ReplayWal(const std::string& wal_path,
       const std::string& run_name =
           tag == kTagRuns ? row[0].AsString()
                           : db->symbols().NameOf(SymOf(row[0]));
-      size_t owner = target == 1 ? 0 : RunShardHash(run_name) % target;
+      size_t owner = RunShardHash(run_name) % target;
       const char* base = tag == kTagRuns  ? tables::kRuns
                          : tag == kTagVal ? tables::kVal
                          : tag == kTagXform ? tables::kXform
@@ -1344,7 +1296,6 @@ Result<size_t> TraceStore::DeleteRun(const std::string& run_id) {
     w.WriteString(run_id);
     PROVLIN_RETURN_IF_ERROR(s->owned_wal->Append(w.buffer()));
   }
-  PROVLIN_RETURN_IF_ERROR(rep->LogSharedDelete(run_id));
   return removed;
 }
 
@@ -1367,20 +1318,8 @@ Result<std::string> TraceStore::RunWorkflow(const std::string& run_id) const {
 }
 
 Result<std::vector<std::string>> TraceStore::ListRuns() const {
-  // Single shard: pure insertion (rid) order — the legacy behavior,
-  // including for pre-sharding images whose seq column may repeat.
-  if (rep_->nshards == 1) {
-    Shard* s = rep_->shards[0].get();
-    PROVLIN_RETURN_IF_ERROR(rep_->Drain(s));
-    common::ReaderLock data(s->data_mu);
-    std::vector<std::string> out;
-    for (uint64_t rid : s->runs->FullScan()) {
-      PROVLIN_ASSIGN_OR_RETURN(Row row, s->runs->Get(rid));
-      out.push_back(row[0].AsString());
-    }
-    return out;
-  }
-  // Sharded: merge by the global run sequence number.
+  // Insertion order is the global run sequence number, merged across
+  // shards.
   std::vector<std::pair<int64_t, std::string>> acc;
   for (auto& shard : rep_->shards) {
     Shard* s = shard.get();

@@ -18,7 +18,6 @@
 #include "common/result.h"
 #include "storage/database.h"
 #include "storage/query.h"
-#include "storage/wal.h"
 #include "values/index.h"
 #include "values/value.h"
 
@@ -226,7 +225,7 @@ struct TraceStoreOptions {
   /// enqueue and return, and WAL append + B+-tree insert happen on the
   /// shard's writer. Errors latch per shard and surface on the next
   /// Flush() (or any synchronous op on that shard). When false, writes
-  /// apply synchronously on the calling thread — the legacy behavior.
+  /// apply synchronously on the calling thread.
   bool async_ingest = false;
   /// Segment sealing policy. Unset = the PROVLIN_TEST_COMPRESS
   /// environment variable ("seal" / "always"), else kOff.
@@ -332,30 +331,23 @@ class TraceStore {
 
   // --- write side (used by TraceRecorder) ---------------------------------
 
-  /// Attaches a single external write-ahead log shared by every shard:
-  /// subsequent trace-row inserts are logged (and flushed) before they
-  /// reach the tables, making capture crash-safe. Appends from multiple
-  /// shards serialize on an internal mutex. Pass nullptr to detach. The
-  /// WAL must outlive the store.
-  void AttachWal(storage::WriteAheadLog* wal);
-
-  /// Attaches one store-owned WAL file per shard under `base`: shard 0
-  /// logs to `base` itself (so an unsharded store produces exactly the
-  /// legacy single-file layout), shard k to storage::ShardWalPath(base,
-  /// k), and a manifest recording the shard count is written next to
-  /// them when the store has more than one shard. Writer threads append
-  /// to their own file without cross-shard contention.
+  /// Attaches one store-owned write-ahead log per shard under `base`:
+  /// a manifest recording the shard count (storage::WalManifestPath),
+  /// then shard k's file at storage::ShardWalPath(base, k), at every
+  /// shard count. Subsequent trace-row inserts are logged (and flushed)
+  /// before they reach the tables, making capture crash-safe; writer
+  /// threads append to their own file without cross-shard contention.
   Status AttachWalFiles(const std::string& base);
 
   /// Replays a WAL produced by a (possibly crashed) capture session into
   /// `db`, creating the provenance schema when missing. Returns the
   /// number of rows applied. Symbol-definition records re-intern names
-  /// in logged order, so replayed rows resolve to the same ids. If a
-  /// manifest exists next to `wal_path`, every shard file it names is
-  /// replayed; rows route to the shard their run hashes to under the
-  /// target schema's shard count (`shards` = 0 keeps the schema already
-  /// in `db`, else the manifest's count, else 1), so replaying into a
-  /// differently-sharded database reshards on the fly.
+  /// in logged order, so replayed rows resolve to the same ids. Every
+  /// shard file named by the manifest at `wal_path` is replayed (no
+  /// manifest is NotFound); rows route to the shard their run hashes to
+  /// under the target schema's shard count (`shards` = 0 keeps the
+  /// schema already in `db`, else the manifest's count), so replaying
+  /// into a differently-sharded database reshards on the fly.
   static Result<size_t> ReplayWal(const std::string& wal_path,
                                   storage::Database* db, size_t shards = 0);
 

@@ -10,13 +10,11 @@ namespace provlin::storage {
 
 namespace {
 constexpr uint32_t kMagic = 0x50564C42;  // "PVLB"
-// v2 adds the identifier dictionaries (symbols + index paths) to the
-// image, persisted before the table catalog so kIdPair cells resolve.
-// v3 appends a blob section (compressed trace segments) after the
-// tables; an image without blobs is still written as v2, bit for bit,
-// so sealing never changes the format of stores that don't use it.
-constexpr uint32_t kVersion = 2;
-constexpr uint32_t kVersionBlobs = 3;
+// Image layout: identifier dictionaries (symbols + index paths, first
+// so kIdPair cells resolve), the table catalog, then the blob section
+// (compressed trace segments; a count of 0 when nothing is sealed).
+// Load refuses every other version number.
+constexpr uint32_t kVersion = 3;
 }  // namespace
 
 Result<Table*> Database::CreateTable(const std::string& name, Schema schema) {
@@ -114,7 +112,7 @@ Status Database::Save(const std::string& path) const {
   common::MutexLock blob_lock(blobs_->mu);
   BinaryWriter w;
   w.WriteU32(kMagic);
-  w.WriteU32(blobs_->map.empty() ? kVersion : kVersionBlobs);
+  w.WriteU32(kVersion);
   // Identifier dictionaries: ids are vector positions, so writing the
   // vectors in order round-trips them exactly.
   const std::vector<std::string> sym_names = symbols_.names();
@@ -154,12 +152,10 @@ Status Database::Save(const std::string& path) const {
       w.WriteRow(row.value());
     }
   }
-  if (!blobs_->map.empty()) {
-    w.WriteU32(static_cast<uint32_t>(blobs_->map.size()));
-    for (const auto& [key, bytes] : blobs_->map) {
-      w.WriteString(key);
-      w.WriteString(*bytes);
-    }
+  w.WriteU32(static_cast<uint32_t>(blobs_->map.size()));
+  for (const auto& [key, bytes] : blobs_->map) {
+    w.WriteString(key);
+    w.WriteString(*bytes);
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IoError("cannot open '" + path + "' for write");
@@ -180,7 +176,7 @@ Status Database::Load(const std::string& path) {
   PROVLIN_ASSIGN_OR_RETURN(uint32_t magic, r.ReadU32());
   if (magic != kMagic) return Status::Corruption("bad magic");
   PROVLIN_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
-  if (version != kVersion && version != kVersionBlobs) {
+  if (version != kVersion) {
     return Status::Corruption("unsupported version " +
                               std::to_string(version));
   }
@@ -243,14 +239,12 @@ Status Database::Load(const std::string& path) {
     tables[name] = std::move(table);
   }
   std::map<std::string, std::shared_ptr<const std::string>> blobs;
-  if (version == kVersionBlobs) {
-    PROVLIN_ASSIGN_OR_RETURN(uint32_t nblobs, r.ReadU32());
-    for (uint32_t i = 0; i < nblobs; ++i) {
-      PROVLIN_ASSIGN_OR_RETURN(std::string key, r.ReadString());
-      PROVLIN_ASSIGN_OR_RETURN(std::string bytes, r.ReadString());
-      blobs[std::move(key)] =
-          std::make_shared<const std::string>(std::move(bytes));
-    }
+  PROVLIN_ASSIGN_OR_RETURN(uint32_t nblobs, r.ReadU32());
+  for (uint32_t i = 0; i < nblobs; ++i) {
+    PROVLIN_ASSIGN_OR_RETURN(std::string key, r.ReadString());
+    PROVLIN_ASSIGN_OR_RETURN(std::string bytes, r.ReadString());
+    blobs[std::move(key)] =
+        std::make_shared<const std::string>(std::move(bytes));
   }
   if (!r.AtEnd()) return Status::Corruption("trailing bytes in database file");
   tables_ = std::move(tables);

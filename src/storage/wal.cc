@@ -118,7 +118,6 @@ Result<std::vector<std::string>> WriteAheadLog::Replay(
 }
 
 std::string ShardWalPath(const std::string& base, size_t shard) {
-  if (shard == 0) return base;
   return base + ".shard-" + std::to_string(shard);
 }
 

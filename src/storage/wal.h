@@ -58,14 +58,12 @@ class WriteAheadLog {
 // --- sharded WAL layout -----------------------------------------------------
 //
 // A run-sharded store (DESIGN.md §11) keeps one WAL per shard so writer
-// threads append without contending on a shared file. Shard 0 logs to
-// the caller's base path unchanged (an N=1 sharded WAL is exactly the
-// legacy single-file WAL); shard k > 0 logs to "<base>.shard-<k>". A
-// small text manifest at "<base>.manifest" records the shard count, so
-// recovery knows how many files to replay; it is only written when the
-// layout actually has more than one shard.
+// threads append without contending on a shared file: shard k logs to
+// "<base>.shard-<k>", at every shard count. A small text manifest at
+// "<base>.manifest" records the shard count, so recovery knows how many
+// files to replay. `base` itself is never a file.
 
-/// WAL file path of shard `shard` under `base` (base itself for 0).
+/// WAL file path of shard `shard` under `base`.
 std::string ShardWalPath(const std::string& base, size_t shard);
 
 /// Manifest path for the sharded WAL rooted at `base`.
@@ -74,8 +72,7 @@ std::string WalManifestPath(const std::string& base);
 /// Writes/overwrites the manifest recording `shards`.
 Status WriteWalManifest(const std::string& base, size_t shards);
 
-/// Shard count from the manifest; NotFound when no manifest exists
-/// (the layout is then a plain single-file WAL).
+/// Shard count from the manifest; NotFound when no manifest exists.
 Result<size_t> ReadWalManifest(const std::string& base);
 
 }  // namespace provlin::storage

@@ -24,7 +24,7 @@ class Workbench {
  public:
   /// The Fig. 5 synthetic family with chain length `l`. `store_options`
   /// shapes the trace store (shard count, async ingest) — the default
-  /// keeps the legacy unsharded layout (modulo PROVLIN_TEST_SHARDS).
+  /// is one shard with synchronous ingest (modulo PROVLIN_TEST_SHARDS).
   static Result<std::unique_ptr<Workbench>> Synthetic(
       int chain_length,
       const provenance::TraceStoreOptions& store_options = {});

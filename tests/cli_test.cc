@@ -10,6 +10,8 @@
 #include <sstream>
 
 #include "common/tracing.h"
+#include "provenance/trace_store.h"
+#include "storage/wal.h"
 
 namespace provlin::cli {
 namespace {
@@ -25,7 +27,10 @@ class CliTest : public ::testing::Test {
     db_path_ = std::string(::testing::TempDir()) + "/cli_" + name + ".db";
     wal_path_ = std::string(::testing::TempDir()) + "/cli_" + name + ".wal";
     std::remove(db_path_.c_str());
-    std::remove(wal_path_.c_str());
+    for (size_t k = 0; k < 8; ++k) {
+      std::remove(storage::ShardWalPath(wal_path_, k).c_str());
+    }
+    std::remove(storage::WalManifestPath(wal_path_).c_str());
   }
 
   int Run(std::vector<std::string> args) {
@@ -113,15 +118,15 @@ TEST_F(CliTest, ForwardLineage) {
 }
 
 TEST_F(CliTest, SqlQuery) {
-  // Raw SQL addresses physical tables; pin --shards 1 so 'runs' holds
-  // every run regardless of any PROVLIN_TEST_SHARDS environment setting.
+  // Raw SQL addresses one shard's physical table; pin --shards 1 so
+  // 'runs#0' holds every run regardless of PROVLIN_TEST_SHARDS.
   ASSERT_EQ(Run({"run", "--workflow", "builtin:synthetic:2", "--db",
                  db_path_, "--run", "r0", "--input", "ListSize=2",
                  "--shards", "1"}),
             0)
       << err_.str();
   ASSERT_EQ(Run({"sql", "--db", db_path_,
-                 "SELECT COUNT(*) FROM runs WHERE run_id = 'r0'"}),
+                 "SELECT COUNT(*) FROM runs#0 WHERE run_id = 'r0'"}),
             0)
       << err_.str();
   EXPECT_NE(out_.str().find("count\n1\n"), std::string::npos);
@@ -144,17 +149,22 @@ TEST_F(CliTest, DotAndCounts) {
 }
 
 TEST_F(CliTest, RunWithWalIsRecoverable) {
-  // Pin --shards 1: this test asserts the legacy single-file WAL layout
-  // (a sharded store writes the run's rows to a per-shard .shard-k file).
+  // --wal writes <wal>.shard-k per shard plus <wal>.manifest at every
+  // shard count, so shard 0's file and the manifest always exist.
   ASSERT_EQ(Run({"run", "--workflow", "builtin:synthetic:1", "--db",
                  db_path_, "--run", "r0", "--input", "ListSize=2", "--wal",
-                 wal_path_, "--shards", "1"}),
+                 wal_path_}),
             0)
       << err_.str();
-  std::ifstream wal(wal_path_, std::ios::binary);
-  ASSERT_TRUE(wal.good());
-  wal.seekg(0, std::ios::end);
-  EXPECT_GT(wal.tellg(), 0);
+  EXPECT_TRUE(std::ifstream(storage::ShardWalPath(wal_path_, 0)).good());
+  EXPECT_TRUE(std::ifstream(storage::WalManifestPath(wal_path_)).good());
+  storage::Database recovered;
+  auto applied = provenance::TraceStore::ReplayWal(wal_path_, &recovered);
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_GT(*applied, 0u);
+  auto store = provenance::TraceStore::Open(&recovered);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(*store->ListRuns(), std::vector<std::string>{"r0"});
 }
 
 TEST_F(CliTest, WorkflowFromFile) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <memory>
 
 namespace provlin::storage {
 namespace {
@@ -127,6 +129,71 @@ TEST(Database, LoadRejectsTruncatedFile) {
   auto st = db.Load(path);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFile(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// The image's version stamp: the u32 right after the 4-byte magic.
+uint32_t ImageVersion(const std::string& image) {
+  uint32_t version = 0;
+  std::memcpy(&version, image.data() + 4, sizeof(version));
+  return version;
+}
+
+TEST(Database, BlobFreeImageRoundTripsInTheSingleFormat) {
+  std::string plain_path = TempPath("db_noblobs.bin");
+  std::string blob_path = TempPath("db_blobs.bin");
+  {
+    Database db;
+    Table* t = *db.CreateTable("t", SmallSchema());
+    ASSERT_TRUE(t->Insert({Datum("k"), Datum(int64_t{1})}).ok());
+    ASSERT_TRUE(db.Save(plain_path).ok());
+    db.PutBlob("b", std::make_shared<const std::string>("bytes"));
+    ASSERT_TRUE(db.Save(blob_path).ok());
+  }
+  const std::string plain = ReadFile(plain_path);
+  const std::string with_blob = ReadFile(blob_path);
+  ASSERT_GE(plain.size(), 12u);
+  // One version number whether or not anything is sealed; a blob-free
+  // image ends in an empty blob section (count 0).
+  EXPECT_EQ(ImageVersion(plain), ImageVersion(with_blob));
+  EXPECT_EQ(plain.substr(plain.size() - 4), std::string(4, '\0'));
+
+  Database db;
+  ASSERT_TRUE(db.Load(plain_path).ok());
+  EXPECT_TRUE(db.BlobKeys().empty());
+  EXPECT_EQ((*db.GetTable("t"))->num_rows(), 1u);
+  ASSERT_TRUE(db.Load(blob_path).ok());
+  EXPECT_EQ(db.BlobKeys(), std::vector<std::string>{"b"});
+}
+
+TEST(Database, LoadRejectsUnsupportedVersion) {
+  std::string path = TempPath("db_version.bin");
+  {
+    Database db;
+    ASSERT_TRUE(db.CreateTable("t", SmallSchema()).ok());
+    ASSERT_TRUE(db.Save(path).ok());
+  }
+  const std::string image = ReadFile(path);
+  ASSERT_EQ(ImageVersion(image), 3u);
+  // 2 is the retired blob-free format; 4 is a version from the future.
+  for (uint32_t version : {2u, 4u}) {
+    std::string stamped = image;
+    std::memcpy(stamped.data() + 4, &version, sizeof(version));
+    WriteFile(path, stamped);
+    Database db;
+    Status st = db.Load(path);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << "version " << version;
+  }
 }
 
 TEST(Database, FailedLoadLeavesCatalogUntouched) {

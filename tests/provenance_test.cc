@@ -15,13 +15,15 @@ using testbed::Workbench;
 
 TEST(Schema, CreatesAllTablesAndIndexes) {
   storage::Database db;
-  ASSERT_TRUE(CreateProvenanceSchema(&db).ok());
+  ASSERT_TRUE(CreateProvenanceSchema(&db, 1).ok());
   EXPECT_EQ(db.TableNames(),
-            (std::vector<std::string>{"runs", "val", "xfer", "xform"}));
-  EXPECT_TRUE((*db.GetTable(tables::kXform))->HasIndex(indexes::kXformOut));
-  EXPECT_TRUE((*db.GetTable(tables::kXform))->HasIndex(indexes::kXformIn));
-  EXPECT_TRUE((*db.GetTable(tables::kXfer))->HasIndex(indexes::kXferDst));
-  EXPECT_TRUE((*db.GetTable(tables::kVal))->HasIndex(indexes::kValById));
+            (std::vector<std::string>{"runs#0", "shard_meta", "val#0",
+                                      "xfer#0", "xform#0"}));
+  EXPECT_EQ(*DetectShardCount(db), 1u);
+  EXPECT_TRUE((*db.GetTable("xform#0"))->HasIndex(indexes::kXformOut));
+  EXPECT_TRUE((*db.GetTable("xform#0"))->HasIndex(indexes::kXformIn));
+  EXPECT_TRUE((*db.GetTable("xfer#0"))->HasIndex(indexes::kXferDst));
+  EXPECT_TRUE((*db.GetTable("val#0"))->HasIndex(indexes::kValById));
 }
 
 TEST(TraceStore, OpenIsIdempotent) {

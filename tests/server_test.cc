@@ -57,7 +57,7 @@ namespace wire = lineage::wire;
 /// network round-trip byte-for-byte.
 std::string AnswerBytes(LineageAnswer answer) {
   answer.timing = lineage::LineageTiming{};
-  return wire::EncodeAnswerResponse(0, answer);
+  return wire::EncodeAnswerResponseV2(0, answer, nullptr);
 }
 
 /// A served workbench: runs executed, both engines registered, server
@@ -284,26 +284,47 @@ TEST(ServerTest, WrongVersionFrameGetsTypedError) {
   auto socket = TcpConnect("127.0.0.1", s.server->port());
   ASSERT_TRUE(socket.ok());
 
-  // A frame whose payload leads with an unknown version byte. The id
-  // field is at the same offset in every version, so the server can
-  // still echo it in the error.
+  // Frames whose payload leads with a version byte the server does not
+  // speak: the retired v1 and a version from the future. The id field
+  // sits at the same offset in every version, so the server can still
+  // echo it in the error.
   wire::RequestEnvelope envelope;
-  envelope.request_id = 77;
   envelope.engine = "naive";
-  std::string payload = wire::EncodeRequestEnvelope(envelope);
-  payload[0] = 9;
-  ASSERT_TRUE(WriteFrame(*socket, payload).ok());
+  const uint8_t versions[] = {1, 9};
+  for (uint8_t version : versions) {
+    envelope.request_id = 70 + version;
+    std::string payload = wire::EncodeRequestEnvelope(envelope);
+    payload[0] = static_cast<char>(version);
+    ASSERT_TRUE(WriteFrame(*socket, payload).ok());
 
+    std::string response_payload;
+    auto got = ReadFrame(*socket, &response_payload);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_TRUE(*got);
+    auto response = wire::DecodeResponseEnvelope(response_payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_FALSE(response->ok);
+    EXPECT_EQ(response->code, wire::ErrorCode::kUnsupportedVersion)
+        << "version " << int{version};
+    EXPECT_EQ(response->request_id, 70u + version);
+  }
+  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 2u);
+
+  // The connection survives: a well-formed request that follows on the
+  // same socket is answered.
+  envelope.request_id = 80;
+  envelope.request = LineageRequest::SingleRun(
+      "r1", {kWorkflowProcessor, "RESULT"}, Index({1}));
+  ASSERT_TRUE(WriteFrame(*socket, wire::EncodeRequestEnvelope(envelope)).ok());
   std::string response_payload;
   auto got = ReadFrame(*socket, &response_payload);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   ASSERT_TRUE(*got);
   auto response = wire::DecodeResponseEnvelope(response_payload);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  EXPECT_FALSE(response->ok);
-  EXPECT_EQ(response->code, wire::ErrorCode::kUnsupportedVersion);
-  EXPECT_EQ(response->request_id, 77u);
-  EXPECT_EQ(s.server->stats().bad_frames - s.before.bad_frames, 1u);
+  EXPECT_TRUE(response->ok) << response->message;
+  EXPECT_EQ(response->request_id, 80u);
+  EXPECT_FALSE(response->answer.bindings.empty());
   s.server->Stop();
 }
 
@@ -362,24 +383,21 @@ TEST(ServerTest, TimelineAttachedOnlyWhenRequested) {
   LineageRequest req = LineageRequest::SingleRun(
       "r1", {kWorkflowProcessor, "RESULT"}, Index({1}));
 
-  // v1 call: the answer must be byte-identical to the legacy shape —
-  // no timeline, version 1, same bindings as in-process.
-  auto v1 = client->Call("indexproj", req);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  ASSERT_TRUE(v1->ok) << v1->message;
-  EXPECT_EQ(v1->version, wire::kWireVersionLegacy);
-  EXPECT_FALSE(v1->has_timeline);
+  // Without the flag the answer carries no timeline.
+  auto plain = client->Call("indexproj", req);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  ASSERT_TRUE(plain->ok) << plain->message;
+  EXPECT_FALSE(plain->has_timeline);
 
-  // v2 call asking for the timeline: same answer, plus the phase
-  // decomposition with its invariants.
-  auto v2 = client->Call("indexproj", req, /*want_timeline=*/true);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  ASSERT_TRUE(v2->ok) << v2->message;
-  EXPECT_EQ(v2->version, wire::kWireVersion);
-  ASSERT_TRUE(v2->has_timeline);
-  EXPECT_EQ(AnswerBytes(v2->answer), AnswerBytes(v1->answer));
+  // Asking for the timeline: same answer, plus the phase decomposition
+  // with its invariants.
+  auto timed = client->Call("indexproj", req, /*want_timeline=*/true);
+  ASSERT_TRUE(timed.ok()) << timed.status().ToString();
+  ASSERT_TRUE(timed->ok) << timed->message;
+  ASSERT_TRUE(timed->has_timeline);
+  EXPECT_EQ(AnswerBytes(timed->answer), AnswerBytes(plain->answer));
 
-  const wire::RequestTimeline& tl = v2->timeline;
+  const wire::RequestTimeline& tl = timed->timeline;
   EXPECT_GE(tl.queue_ms, 0.0);
   EXPECT_GE(tl.dispatch_ms, 0.0);
   EXPECT_GT(tl.total_ms, 0.0);

@@ -107,21 +107,37 @@ TEST(Wal, ReplayMissingFileFails) {
   EXPECT_FALSE(WriteAheadLog::Replay(TempPath("wal_missing.log")).ok());
 }
 
+/// Base path for a fresh store-owned WAL: every per-shard file and the
+/// manifest a previous run of the test may have left are removed.
+std::string TempWalBase(const char* name, size_t max_shards = 8) {
+  std::string base = TempPath(name);
+  for (size_t k = 0; k < max_shards; ++k) {
+    std::remove(ShardWalPath(base, k).c_str());
+  }
+  std::remove(WalManifestPath(base).c_str());
+  return base;
+}
+
+size_t FileSize(const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  return f.good() ? static_cast<size_t>(f.tellg()) : 0;
+}
+
 TEST(WalDurability, CrashedCaptureSessionIsRecoverable) {
-  std::string path = TempPath("wal_capture.log");
+  std::string base = TempWalBase("wal_capture.log");
 
   // Capture a synthetic run with the WAL attached, then "crash": throw
   // the in-memory database away and rebuild everything from the log.
   {
     auto wb = std::move(*testbed::Workbench::Synthetic(3));
-    auto wal = *WriteAheadLog::Open(path);
-    wb->store()->AttachWal(&wal);
+    ASSERT_TRUE(wb->store()->AttachWalFiles(base).ok());
     ASSERT_TRUE(wb->RunSynthetic(4, "r0").ok());
-    EXPECT_GT(wal.records_appended(), 0u);
+    EXPECT_GT(FileSize(ShardWalPath(base, wb->store()->ShardOfRun("r0"))),
+              0u);
   }  // workbench (and its database) destroyed here
 
   Database recovered;
-  auto applied = provenance::TraceStore::ReplayWal(path, &recovered);
+  auto applied = provenance::TraceStore::ReplayWal(base, &recovered);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_GT(*applied, 0u);
 
@@ -145,24 +161,27 @@ TEST(WalDurability, CrashedCaptureSessionIsRecoverable) {
 }
 
 TEST(WalDurability, TornCaptureKeepsCommittedPrefix) {
-  std::string path = TempPath("wal_capture_torn.log");
+  std::string base = TempWalBase("wal_capture_torn.log");
+  size_t shards = 0;
   {
     auto wb = std::move(*testbed::Workbench::Synthetic(2));
-    auto wal = *WriteAheadLog::Open(path);
-    wb->store()->AttachWal(&wal);
+    ASSERT_TRUE(wb->store()->AttachWalFiles(base).ok());
     ASSERT_TRUE(wb->RunSynthetic(3, "r0").ok());
+    shards = wb->store()->shard_count();
   }
-  // Tear the file mid-way.
-  std::ifstream in(path, std::ios::binary);
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
-  out.close();
+  // Tear every shard file mid-way.
+  for (size_t k = 0; k < shards; ++k) {
+    const std::string path = ShardWalPath(base, k);
+    std::ifstream in(path, std::ios::binary);
+    std::string data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    in.close();
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
+  }
 
   Database recovered;
-  auto applied = provenance::TraceStore::ReplayWal(path, &recovered);
+  auto applied = provenance::TraceStore::ReplayWal(base, &recovered);
   ASSERT_TRUE(applied.ok()) << applied.status().ToString();
   EXPECT_GT(*applied, 0u);  // a committed prefix survives
   // The recovered tables are internally consistent.
@@ -176,21 +195,6 @@ TEST(WalDurability, TornCaptureKeepsCommittedPrefix) {
 // replay-merge, DeleteRun replay-skip confined to the owning shard's
 // log, and recovery after a real SIGKILL mid-ingest.
 // ---------------------------------------------------------------------------
-
-/// Base + every per-shard file + manifest for a fresh test.
-std::string TempWalBase(const char* name, size_t max_shards = 8) {
-  std::string base = TempPath(name);
-  for (size_t k = 1; k < max_shards; ++k) {
-    std::remove(ShardWalPath(base, k).c_str());
-  }
-  std::remove(WalManifestPath(base).c_str());
-  return base;
-}
-
-size_t FileSize(const std::string& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  return f.good() ? static_cast<size_t>(f.tellg()) : 0;
-}
 
 TEST(ShardedWal, PerShardFilesReplayIntoOneDatabase) {
   std::string base = TempWalBase("wal_sharded.log");
@@ -214,7 +218,7 @@ TEST(ShardedWal, PerShardFilesReplayIntoOneDatabase) {
     }
     ASSERT_GE(owners.size(), 2u) << "test ids all hash alike; pick others";
     for (size_t k : owners) {
-      std::string path = k == 0 ? base : ShardWalPath(base, k);
+      std::string path = ShardWalPath(base, k);
       EXPECT_GT(FileSize(path), 0u) << "shard " << k;
     }
     auto manifest = ReadWalManifest(base);
@@ -262,6 +266,20 @@ TEST(ShardedWal, PerShardFilesReplayIntoOneDatabase) {
   EXPECT_EQ(counts2.value_rows, counts4.value_rows);
 }
 
+TEST(ShardedWal, ReplayWithoutManifestIsNotFound) {
+  // A bare log at the base path is not a store WAL: without the
+  // manifest there is no shard count to replay, whatever sits there.
+  std::string base = TempWalBase("wal_no_manifest.log");
+  {
+    auto wal = *WriteAheadLog::Open(base);
+    ASSERT_TRUE(wal.Append("stray").ok());
+  }
+  Database db;
+  auto applied = provenance::TraceStore::ReplayWal(base, &db);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_TRUE(applied.status().IsNotFound()) << applied.status().ToString();
+}
+
 TEST(ShardedWal, DeleteRunLogsOnlyToOwningShardAndReplaySkips) {
   std::string base = TempWalBase("wal_sharded_delete.log");
   provenance::TraceStoreOptions options;
@@ -278,12 +296,12 @@ TEST(ShardedWal, DeleteRunLogsOnlyToOwningShardAndReplaySkips) {
     }
     victim_shard = wb->store()->ShardOfRun("del2");
     for (size_t k = 0; k < 4; ++k) {
-      sizes_before[k] = FileSize(k == 0 ? base : ShardWalPath(base, k));
+      sizes_before[k] = FileSize(ShardWalPath(base, k));
     }
     ASSERT_TRUE(wb->store()->DeleteRun("del2").ok());
     // The deletion record landed in the owning shard's log only.
     for (size_t k = 0; k < 4; ++k) {
-      size_t now = FileSize(k == 0 ? base : ShardWalPath(base, k));
+      size_t now = FileSize(ShardWalPath(base, k));
       if (k == victim_shard) {
         EXPECT_GT(now, sizes_before[k]) << "owner shard " << k;
       } else {
@@ -344,7 +362,7 @@ TEST(ShardedWalCrash, SigkillMidIngestKeepsCommittedPrefix) {
   }
   auto covered = [&] {
     for (size_t k : owners) {
-      if (FileSize(k == 0 ? base : ShardWalPath(base, k)) == 0) return false;
+      if (FileSize(ShardWalPath(base, k)) == 0) return false;
     }
     return true;
   };
