@@ -242,6 +242,65 @@ void BM_TraceProbeSealed(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceProbeSealed)->Arg(10000)->Arg(100000);
 
+// Sealing one run out of the hot tier (the storage half of
+// TraceStore::SealRun): remove the run's rows from an xform-shaped table
+// by key range and encode them. The run has range(0) rows; the shard
+// around it holds range(1)x as many rows of other runs, half inserted
+// before the run and half after. Seal time must track the run, not the
+// shard. Each iteration re-inserts the rows untimed, so tombstoned
+// slots pile up behind the run as they do in a long-lived store.
+void BM_SealRun(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const int64_t others = n * state.range(1);
+  storage::Table table(
+      "xform", storage::Schema({{"run", storage::DatumKind::kInt},
+                                {"event_id", storage::DatumKind::kInt},
+                                {"in", storage::DatumKind::kIdPair},
+                                {"in_index", storage::DatumKind::kIndexPath},
+                                {"in_value", storage::DatumKind::kInt},
+                                {"out", storage::DatumKind::kIdPair},
+                                {"out_index", storage::DatumKind::kIndexPath},
+                                {"out_value", storage::DatumKind::kInt}}));
+  for (const storage::IndexSpec& spec :
+       {storage::IndexSpec{"out", {"run", "out", "out_index"}},
+        storage::IndexSpec{"in", {"run", "in", "in_index"}},
+        storage::IndexSpec{"event", {"run", "event_id"}}}) {
+    if (!table.CreateIndex(spec).ok()) state.SkipWithError("CreateIndex");
+  }
+  // Other runs take ids 1.., 4096 rows each; the sealed run is id 0.
+  const storage::Row other = SegmentBenchRows(1).front();
+  auto insert_others = [&](int64_t from, int64_t to) {
+    for (int64_t i = from; i < to; ++i) {
+      storage::Row row = other;
+      row[0] = Datum(1 + i / 4096);
+      row[1] = Datum(i);
+      (void)table.Insert(row);
+    }
+  };
+  insert_others(0, others / 2);
+  std::vector<storage::Row> run_rows = SegmentBenchRows(n);
+  for (const storage::Row& row : run_rows) (void)table.Insert(row);
+  insert_others(others / 2, others);
+  for (auto _ : state) {
+    auto rows = table.RemoveByLeadingKey(Datum(int64_t{0}));
+    if (!rows.ok() || rows->size() != run_rows.size()) {
+      state.SkipWithError("RemoveByLeadingKey");
+      break;
+    }
+    auto seg = storage::Segment::Build(storage::Segment::Kind::kXform, 0, *rows);
+    if (!seg.ok()) {
+      state.SkipWithError(seg.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(seg->bytes().size());
+    state.PauseTiming();
+    for (const storage::Row& row : *rows) (void)table.Insert(row);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_SealRun)->Args({4096, 1})->Args({4096, 16});
+
 // Guards the zero-overhead contract of the ranked sync wrappers: in a
 // release build (PROVLIN_LOCK_DEBUG off) an uncontended Lock/Unlock
 // round trip must cost what the raw std primitive costs — sync.h

@@ -529,10 +529,12 @@ struct TraceStore::Rep {
 
   Shard* ShardForSym(SymbolId run) { return shards[ShardIdOfSym(run)].get(); }
 
-  /// Seals one run's trace rows into compressed segments: encode each
-  /// table's rows, delete them from the hot tier, park the encoded
-  /// bytes in the database's blob catalog (so Save persists them).
-  /// Idempotent; a run with no trace rows seals to nothing.
+  /// Seals one run's trace rows into compressed segments: move each
+  /// table's rows out of the hot tier as one key range, encode them, and
+  /// park the encoded bytes in the database's blob catalog (so Save
+  /// persists them). Idempotent; a run with no trace rows seals to
+  /// nothing. When Segment::Build refuses a side's rows, every row taken
+  /// is put back, so the run stays wholly hot and answerable.
   Status SealRunLocked(Shard* s, SymbolId run_sym, const std::string& run_name)
       REQUIRES(s->data_mu) {
     if (s->sealed_xform.count(run_sym) > 0 ||
@@ -549,30 +551,38 @@ struct TraceStore::Rep {
     const Side sides[] = {
         {s->xform, Segment::Kind::kXform, tables::kXform, &s->sealed_xform},
         {s->xfer, Segment::Kind::kXfer, tables::kXfer, &s->sealed_xfer}};
-    for (const Side& side : sides) {
-      std::vector<uint64_t> rids;
-      std::vector<Row> rows;
-      side.table->ForEachLiveRow([&](uint64_t rid, const Row& row) {
-        if (row[0] == run_datum) {
-          rids.push_back(rid);
-          rows.push_back(row);
-        }
-      });
-      if (rows.empty()) continue;
+    std::vector<Row> taken[2];
+    std::optional<Segment> built[2];
+    auto take_and_build = [&](size_t i) -> Status {
+      PROVLIN_ASSIGN_OR_RETURN(taken[i],
+                               sides[i].table->RemoveByLeadingKey(run_datum));
+      if (taken[i].empty()) return Status::OK();
       PROVLIN_ASSIGN_OR_RETURN(
-          Segment seg,
-          Segment::Build(side.kind, static_cast<uint64_t>(run_sym), rows));
-      for (uint64_t rid : rids) {
-        PROVLIN_RETURN_IF_ERROR(side.table->Delete(rid));
+          Segment seg, Segment::Build(sides[i].kind,
+                                      static_cast<uint64_t>(run_sym), taken[i]));
+      built[i].emplace(std::move(seg));
+      return Status::OK();
+    };
+    Status st = take_and_build(0);
+    if (st.ok()) st = take_and_build(1);
+    if (!st.ok()) {
+      for (size_t i = 0; i < 2; ++i) {
+        for (const Row& row : taken[i]) {
+          PROVLIN_RETURN_IF_ERROR(sides[i].table->Insert(row).status());
+        }
       }
-      auto shared = std::make_shared<const Segment>(std::move(seg));
-      db->PutBlob(SegmentBlobKey(side.base, s->id, run_name),
+      return st;
+    }
+    for (size_t i = 0; i < 2; ++i) {
+      if (!built[i].has_value()) continue;
+      auto shared = std::make_shared<const Segment>(std::move(*built[i]));
+      db->PutBlob(SegmentBlobKey(sides[i].base, s->id, run_name),
                   shared->shared_bytes());
       s->segment_rows_g->Add(static_cast<int64_t>(shared->num_rows()));
       s->segment_bytes_g->Add(static_cast<int64_t>(shared->bytes().size()));
       s->hot_rows_g->Add(-static_cast<int64_t>(shared->num_rows()));
       s->segments_ctr->Increment();
-      side.sealed->emplace(run_sym, std::move(shared));
+      sides[i].sealed->emplace(run_sym, std::move(shared));
     }
     return Status::OK();
   }
@@ -760,36 +770,51 @@ Status ReshardDatabase(storage::Database* db, size_t from, size_t to) {
   return WriteShardMeta(db, to);
 }
 
-/// Deletes every row of `run_id` from one shard's tables (replay-side
-/// twin of TraceStore::DeleteRun's sweep).
+/// Row ids of `run_id`'s row in a runs table, found without moving any
+/// access-path counter.
+std::vector<uint64_t> RunRowRids(const Table& runs, const std::string& run_id) {
+  std::vector<uint64_t> rids;
+  runs.ForEachLiveRow([&](uint64_t rid, const Row& row) {
+    if (row[0].AsString() == run_id) rids.push_back(rid);
+  });
+  return rids;
+}
+
+/// Deletes every row of `run_id` from one shard's hot tables: the sweep
+/// of TraceStore::DeleteRun and of a replayed deletion record. It is
+/// maintenance, not a query, so it moves no access-path counter. xform
+/// and xfer drop the run's key range from their run-led indexes; the
+/// hash-indexed runs and val tables delete row by row.
 Result<size_t> SweepRunRows(storage::Database* db, size_t shard,
                             const std::string& run_id) {
-  size_t removed = 0;
   PROVLIN_ASSIGN_OR_RETURN(
       Table * runs, db->GetTable(ShardTableName(tables::kRuns, shard)));
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> run_rows,
-      runs->IndexLookup(indexes::kRunsById, {Datum(run_id)}));
-  for (uint64_t rid : run_rows) {
+  size_t removed = 0;
+  for (uint64_t rid : RunRowRids(*runs, run_id)) {
     PROVLIN_RETURN_IF_ERROR(runs->Delete(rid));
     ++removed;
   }
+  // The trace tables key everything by the run symbol in column 0; a run
+  // that never minted a symbol has no trace rows to sweep.
   std::optional<SymbolId> run_sym = db->symbols().Lookup(run_id);
-  if (run_sym.has_value()) {
-    Datum run_datum = SymDatum(*run_sym);
-    for (const char* base : {tables::kVal, tables::kXform, tables::kXfer}) {
-      PROVLIN_ASSIGN_OR_RETURN(Table * table,
-                               db->GetTable(ShardTableName(base, shard)));
-      std::vector<uint64_t> to_delete;
-      for (uint64_t rid : table->FullScan()) {
-        PROVLIN_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        if (row[0] == run_datum) to_delete.push_back(rid);
-      }
-      for (uint64_t rid : to_delete) {
-        PROVLIN_RETURN_IF_ERROR(table->Delete(rid));
-        ++removed;
-      }
-    }
+  if (!run_sym.has_value()) return removed;
+  const Datum run_datum = SymDatum(*run_sym);
+  PROVLIN_ASSIGN_OR_RETURN(Table * val,
+                           db->GetTable(ShardTableName(tables::kVal, shard)));
+  std::vector<uint64_t> val_rids;
+  val->ForEachLiveRow([&](uint64_t rid, const Row& row) {
+    if (row[0] == run_datum) val_rids.push_back(rid);
+  });
+  for (uint64_t rid : val_rids) {
+    PROVLIN_RETURN_IF_ERROR(val->Delete(rid));
+    ++removed;
+  }
+  for (const char* base : {tables::kXform, tables::kXfer}) {
+    PROVLIN_ASSIGN_OR_RETURN(Table * table,
+                             db->GetTable(ShardTableName(base, shard)));
+    PROVLIN_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                             table->RemoveByLeadingKey(run_datum));
+    removed += rows.size();
   }
   return removed;
 }
@@ -1243,33 +1268,11 @@ Result<size_t> TraceStore::DeleteRun(const std::string& run_id) {
     }
   }
   common::WriterLock data(s->data_mu);
-  PROVLIN_ASSIGN_OR_RETURN(
-      std::vector<uint64_t> run_rows,
-      s->runs->IndexLookup(indexes::kRunsById, {Datum(run_id)}));
-  if (run_rows.empty()) {
+  if (RunRowRids(*s->runs, run_id).empty()) {
     return Status::NotFound("run '" + run_id + "' not recorded");
   }
-  size_t removed = 0;
-  for (uint64_t rid : run_rows) {
-    PROVLIN_RETURN_IF_ERROR(s->runs->Delete(rid));
-    ++removed;
-  }
-  // The trace tables key everything by the run symbol in column 0; a run
-  // that never minted a symbol has no trace rows to sweep.
-  if (run_sym.has_value()) {
-    Datum run_datum = SymDatum(*run_sym);
-    for (Table* table : {s->val, s->xform, s->xfer}) {
-      std::vector<uint64_t> to_delete;
-      for (uint64_t rid : table->FullScan()) {
-        PROVLIN_ASSIGN_OR_RETURN(Row row, table->Get(rid));
-        if (row[0] == run_datum) to_delete.push_back(rid);
-      }
-      for (uint64_t rid : to_delete) {
-        PROVLIN_RETURN_IF_ERROR(table->Delete(rid));
-        ++removed;
-      }
-    }
-  }
+  PROVLIN_ASSIGN_OR_RETURN(size_t removed,
+                           SweepRunRows(rep->db, s->id, run_id));
   s->hot_rows_g->Add(-static_cast<int64_t>(removed));
   // A sealed run's trace rows drop with their whole segment — no
   // decode needed, the run is gone either way.

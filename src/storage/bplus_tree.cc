@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "storage/segment.h"
 
@@ -187,13 +188,16 @@ bool BPlusTree::Erase(const Key& key, uint64_t rid) {
   bool underflow = false;
   if (!EraseRec(root_.get(), entry, &underflow)) return false;
   --size_;
-  // Shrink the root when an internal root is left with a single child.
+  CollapseRoot();
+  return true;
+}
+
+void BPlusTree::CollapseRoot() {
   while (!root_->is_leaf) {
     auto* in = static_cast<InternalNode*>(root_.get());
     if (in->children.size() > 1) break;
     root_ = std::move(in->children.front());
   }
-  return true;
 }
 
 bool BPlusTree::EraseRec(Node* node, const Entry& entry, bool* underflow) {
@@ -222,6 +226,62 @@ bool BPlusTree::EraseRec(Node* node, const Entry& entry, bool* underflow) {
   return true;
 }
 
+size_t BPlusTree::ErasePrefix(const Key& prefix) {
+  // Each pass descends to the leaf holding the first remaining match and
+  // drops that leaf's matches with one range erase. A pass whose matches
+  // ran to the leaf's end hands back the next leaf's first entry when it
+  // still matches. Separators are lower bounds, not copies of the leaf
+  // fronts, so that exact entry (not the bare prefix) is what routes the
+  // next descent to the leaf now holding it, wherever the underflow fix
+  // moved it.
+  size_t removed = 0;
+  std::optional<Entry> probe = Entry{prefix, 0};
+  while (probe.has_value()) {
+    std::optional<Entry> next;
+    bool underflow = false;
+    removed += ErasePrefixRec(root_.get(), *probe, prefix, &next, &underflow);
+    CollapseRoot();
+    probe = std::move(next);
+  }
+  size_ -= removed;
+  return removed;
+}
+
+size_t BPlusTree::ErasePrefixRec(Node* node, const Entry& probe,
+                                 const Key& prefix, std::optional<Entry>* next,
+                                 bool* underflow) {
+  if (node->is_leaf) {
+    auto* leaf = static_cast<LeafNode*>(node);
+    auto first = std::lower_bound(leaf->entries.begin(), leaf->entries.end(),
+                                  probe, EntryLess);
+    auto last = std::find_if_not(first, leaf->entries.end(),
+                                 [&](const Entry& e) {
+                                   return KeyHasPrefix(e.key, prefix);
+                                 });
+    const LeafNode* right = leaf->next;
+    if (last == leaf->entries.end() && right != nullptr &&
+        !right->entries.empty() &&
+        KeyHasPrefix(right->entries.front().key, prefix)) {
+      *next = right->entries.front();
+    }
+    const auto removed = static_cast<size_t>(last - first);
+    leaf->entries.erase(first, last);
+    *underflow = leaf->entries.size() < kMinOccupancy;
+    return removed;
+  }
+
+  auto* in = static_cast<InternalNode*>(node);
+  size_t idx = static_cast<size_t>(
+      std::upper_bound(in->seps.begin(), in->seps.end(), probe, EntryLess) -
+      in->seps.begin());
+  bool child_underflow = false;
+  size_t removed = ErasePrefixRec(in->children[idx].get(), probe, prefix, next,
+                                  &child_underflow);
+  if (child_underflow) FixChildUnderflow(in, idx);
+  *underflow = in->children.size() < kMinOccupancy;
+  return removed;
+}
+
 void BPlusTree::FixChildUnderflow(InternalNode* parent, size_t child_idx) {
   Node* child = parent->children[child_idx].get();
 
@@ -236,17 +296,26 @@ void BPlusTree::FixChildUnderflow(InternalNode* parent, size_t child_idx) {
     auto* leaf = static_cast<LeafNode*>(child);
     auto* lleaf = static_cast<LeafNode*>(left_sib);
     auto* rleaf = static_cast<LeafNode*>(right_sib);
-    if (lleaf != nullptr && lleaf->entries.size() > kMinOccupancy) {
-      // Borrow the largest entry from the left sibling.
-      leaf->entries.insert(leaf->entries.begin(), lleaf->entries.back());
-      lleaf->entries.pop_back();
+    // The deficit is 1 after a single Erase and up to kMinOccupancy after
+    // an ErasePrefix pass; a sibling lends only what it can spare.
+    const size_t need = kMinOccupancy - leaf->entries.size();
+    const auto lend = static_cast<long>(need);
+    if (lleaf != nullptr && lleaf->entries.size() >= kMinOccupancy + need) {
+      // Borrow the `need` largest entries from the left sibling.
+      auto from = lleaf->entries.end() - lend;
+      leaf->entries.insert(leaf->entries.begin(), std::make_move_iterator(from),
+                           std::make_move_iterator(lleaf->entries.end()));
+      lleaf->entries.erase(from, lleaf->entries.end());
       parent->seps[child_idx - 1] = leaf->entries.front();
       return;
     }
-    if (rleaf != nullptr && rleaf->entries.size() > kMinOccupancy) {
-      // Borrow the smallest entry from the right sibling.
-      leaf->entries.push_back(rleaf->entries.front());
-      rleaf->entries.erase(rleaf->entries.begin());
+    if (rleaf != nullptr && rleaf->entries.size() >= kMinOccupancy + need) {
+      // Borrow the `need` smallest entries from the right sibling.
+      auto to = rleaf->entries.begin() + lend;
+      leaf->entries.insert(leaf->entries.end(),
+                           std::make_move_iterator(rleaf->entries.begin()),
+                           std::make_move_iterator(to));
+      rleaf->entries.erase(rleaf->entries.begin(), to);
       parent->seps[child_idx] = rleaf->entries.front();
       return;
     }

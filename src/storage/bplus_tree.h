@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -18,7 +19,9 @@ namespace provlin::storage {
 /// Structure: internal nodes hold separator keys and child pointers; leaf
 /// nodes hold (key, row-id) entries and are linked left-to-right for range
 /// scans. Fanout is fixed at kFanout; nodes split when they exceed it and
-/// borrow/merge when they underflow below kFanout/2 after a deletion.
+/// borrow/merge when they underflow below kFanout/2 after a deletion (a
+/// leaf borrows as many entries as it is short, so a range erase that
+/// trims a leaf by many entries restores occupancy in one fix).
 class BPlusTree {
  public:
   /// One indexed entry: composite user key plus owning row id.
@@ -38,6 +41,13 @@ class BPlusTree {
 
   /// Removes (key, rid); returns false when absent.
   bool Erase(const Key& key, uint64_t rid);
+
+  /// Removes every entry whose key has `prefix` as its leading
+  /// components; returns how many were removed. Costs one root-to-leaf
+  /// descent per leaf it empties or trims (plus one when the first match
+  /// sits past a stale separator), and drops each leaf's matches with a
+  /// single range erase instead of one descent per entry.
+  size_t ErasePrefix(const Key& prefix);
 
   /// Row ids of all entries whose key equals `key`, in rid order.
   std::vector<uint64_t> Lookup(const Key& key) const;
@@ -146,6 +156,10 @@ class BPlusTree {
   bool InsertRec(Node* node, const Entry& entry,
                  std::unique_ptr<SplitResult>* split);
   bool EraseRec(Node* node, const Entry& entry, bool* underflow);
+  size_t ErasePrefixRec(Node* node, const Entry& probe, const Key& prefix,
+                        std::optional<Entry>* next, bool* underflow);
+  /// Drops internal roots left with a single child.
+  void CollapseRoot();
   void FixChildUnderflow(InternalNode* parent, size_t child_idx);
 
   const LeafNode* FindLeaf(const Entry& probe) const;

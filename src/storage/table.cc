@@ -1,5 +1,8 @@
 #include "storage/table.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/metrics.h"
 #include "storage/segment.h"
 
@@ -147,6 +150,39 @@ Status Table::Delete(uint64_t rid) {
   stats_.Bump(stats_.deletes);
   Mx().deletes->Increment();
   return Status::OK();
+}
+
+Result<std::vector<Row>> Table::RemoveByLeadingKey(const Datum& lead) {
+  if (indexes_.empty()) {
+    return Status::InvalidArgument("table '" + name_ +
+                                   "' has no index to remove rows by");
+  }
+  for (const auto& idx : indexes_) {
+    if (idx.btree == nullptr || idx.column_idx.front() != 0) {
+      return Status::InvalidArgument(
+          "index '" + idx.spec.name + "' on table '" + name_ +
+          "' is not a BTree led by column 0");
+    }
+  }
+  const Key prefix{lead};
+  std::vector<uint64_t> rids = indexes_.front().btree->PrefixLookup(prefix);
+  std::sort(rids.begin(), rids.end());
+  for (auto& idx : indexes_) {
+    if (idx.btree->ErasePrefix(prefix) != rids.size()) {
+      return Status::Corruption("index '" + idx.spec.name + "' on table '" +
+                                name_ + "' disagrees with the heap");
+    }
+  }
+  std::vector<Row> out;
+  out.reserve(rids.size());
+  for (uint64_t rid : rids) {
+    out.push_back(std::exchange(rows_[rid], Row()));
+    deleted_[rid] = true;
+  }
+  live_rows_ -= rids.size();
+  stats_.Bump(stats_.deletes, rids.size());
+  Mx().deletes->Add(rids.size());
+  return out;
 }
 
 Result<Row> Table::Get(uint64_t rid) const {

@@ -97,6 +97,15 @@ class Table {
   /// Tombstones a row and removes it from all indexes.
   Status Delete(uint64_t rid);
 
+  /// Removes every live row whose column 0 equals `lead` and returns
+  /// them in rid order, moved out of the heap rather than copied. One
+  /// ErasePrefix per index replaces a per-row Delete, so this is valid
+  /// only when every index is a BTree led by column 0 (InvalidArgument
+  /// otherwise, including a table with no index). Counts n deletes
+  /// exactly as n Delete calls would, and moves no access-path counter:
+  /// it is a maintenance path (run seal and deletion), not a query.
+  Result<std::vector<Row>> RemoveByLeadingKey(const Datum& lead);
+
   /// Fetches a live row.
   Result<Row> Get(uint64_t rid) const;
 

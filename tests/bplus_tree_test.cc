@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <set>
+#include <tuple>
 
 #include "common/random.h"
 
@@ -273,6 +276,179 @@ TEST_P(MultiSeekFuzz, MatchesRepeatedSingleLookups) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiSeekFuzz,
                          ::testing::Values(7, 11, 19, 23, 42, 77, 101, 2024));
+
+// ---------------------------------------------------------------------------
+// ErasePrefix: a key-range erase must leave exactly the tree a reference
+// set describes, with every structural invariant intact, wherever the
+// range falls relative to leaf boundaries.
+// ---------------------------------------------------------------------------
+
+/// (leading key, second key, rid): the reference holds one element per
+/// tree entry, so user keys repeat and the rid tells them apart.
+using RefEntry = std::tuple<int64_t, int64_t, uint64_t>;
+
+Key K2i(int64_t a, int64_t b) { return Key{Datum(a), Datum(b)}; }
+
+void RefInsert(BPlusTree* tree, std::set<RefEntry>* ref, int64_t a, int64_t b,
+               uint64_t rid) {
+  tree->Insert(K2i(a, b), rid);
+  ref->insert({a, b, rid});
+}
+
+/// Erases leading key `a` from both; returns the tree's count after
+/// checking it against the reference's.
+size_t RefErasePrefix(BPlusTree* tree, std::set<RefEntry>* ref, int64_t a) {
+  size_t expected = 0;
+  for (auto it = ref->lower_bound({a, std::numeric_limits<int64_t>::min(), 0});
+       it != ref->end() && std::get<0>(*it) == a;) {
+    it = ref->erase(it);
+    ++expected;
+  }
+  size_t removed = tree->ErasePrefix(K(a));
+  EXPECT_EQ(removed, expected) << "prefix " << a;
+  return removed;
+}
+
+::testing::AssertionResult SameContents(const BPlusTree& tree,
+                                        const std::set<RefEntry>& ref) {
+  Status st = tree.CheckInvariants();
+  if (!st.ok()) return ::testing::AssertionFailure() << st.ToString();
+  if (tree.size() != ref.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << tree.size() << " != reference " << ref.size();
+  }
+  auto it = tree.Begin();
+  for (const auto& [a, b, rid] : ref) {
+    if (!it.Valid() || it.key()[0].AsInt() != a || it.key()[1].AsInt() != b ||
+        it.rid() != rid) {
+      return ::testing::AssertionFailure()
+             << "entry (" << a << "," << b << "," << rid << ") mismatched";
+    }
+    it.Next();
+  }
+  if (it.Valid()) return ::testing::AssertionFailure() << "extra entries";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BPlusTreeErasePrefix, AbsentPrefixRemovesNothing) {
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  for (int64_t a = 0; a < 40; a += 2) {
+    for (int64_t b = 0; b < 10; ++b) RefInsert(&tree, &ref, a, b, 0);
+  }
+  for (int64_t a : {-5, 1, 17, 39, 100}) {
+    EXPECT_EQ(RefErasePrefix(&tree, &ref, a), 0u);
+    ASSERT_TRUE(SameContents(tree, ref)) << "prefix " << a;
+  }
+  // Longer than any key, and a two-column prefix that is absent.
+  EXPECT_EQ(tree.ErasePrefix(K2i(2, 99)), 0u);
+  ASSERT_TRUE(SameContents(tree, ref));
+}
+
+TEST(BPlusTreeErasePrefix, InsideOneLeaf) {
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  for (int64_t a = 0; a < 200; ++a) {
+    for (int64_t b = 0; b < 3; ++b) RefInsert(&tree, &ref, a, b, 1);
+  }
+  ASSERT_GT(tree.height(), 1);
+  for (int64_t a : {0, 57, 101, 199}) {
+    EXPECT_EQ(RefErasePrefix(&tree, &ref, a), 3u);
+    ASSERT_TRUE(SameContents(tree, ref)) << "prefix " << a;
+  }
+  // A two-column prefix trims a single entry.
+  EXPECT_EQ(tree.ErasePrefix(K2i(58, 1)), 1u);
+  ref.erase({58, 1, 1});
+  ASSERT_TRUE(SameContents(tree, ref));
+}
+
+TEST(BPlusTreeErasePrefix, RangesOnLeafBoundaries) {
+  // Ascending inserts split every full leaf 32 | 33 and keep appending
+  // to the right half, so all leaves but the last hold exactly 32
+  // entries. With 16 entries per leading key, an even key starts on a
+  // leaf boundary, an odd key ends on one, and each pair fills a leaf.
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  for (int64_t a = 0; a < 40; ++a) {
+    for (int64_t b = 0; b < 16; ++b) RefInsert(&tree, &ref, a, b, 0);
+  }
+  for (int64_t a : {4, 13, 20, 21, 30, 31, 32, 39}) {
+    EXPECT_EQ(RefErasePrefix(&tree, &ref, a), 16u);
+    ASSERT_TRUE(SameContents(tree, ref)) << "prefix " << a;
+  }
+}
+
+TEST(BPlusTreeErasePrefix, SpanningManyLeaves) {
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  // Interleave insertion order so the big key's entries arrive mixed
+  // with its neighbours' and the leaves hold uneven shares.
+  for (int64_t b = 0; b < 2000; ++b) {
+    RefInsert(&tree, &ref, 5, b, 0);
+    if (b % 4 == 0) RefInsert(&tree, &ref, 4, b, 0);
+    if (b % 5 == 0) RefInsert(&tree, &ref, 6, b, 0);
+  }
+  ASSERT_GE(tree.height(), 3);
+  EXPECT_EQ(RefErasePrefix(&tree, &ref, 5), 2000u);
+  ASSERT_TRUE(SameContents(tree, ref));
+  EXPECT_EQ(RefErasePrefix(&tree, &ref, 4), 500u);
+  ASSERT_TRUE(SameContents(tree, ref));
+}
+
+TEST(BPlusTreeErasePrefix, WholeTreeCollapsesRootToALeaf) {
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  for (int64_t b = 0; b < 5000; ++b) RefInsert(&tree, &ref, 7, b, 0);
+  ASSERT_GE(tree.height(), 3);
+  EXPECT_EQ(RefErasePrefix(&tree, &ref, 7), 5000u);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_TRUE(tree.empty());
+  ASSERT_TRUE(SameContents(tree, ref));
+
+  // The empty prefix matches every key.
+  for (int64_t a = 0; a < 30; ++a) {
+    for (int64_t b = 0; b < 30; ++b) tree.Insert(K2i(a, b), 0);
+  }
+  EXPECT_EQ(tree.ErasePrefix(Key{}), 900u);
+  EXPECT_EQ(tree.height(), 1);
+  EXPECT_TRUE(tree.CheckInvariants().ok());
+  // The emptied tree is reusable.
+  RefInsert(&tree, &ref, 1, 1, 1);
+  ASSERT_TRUE(SameContents(tree, ref));
+}
+
+class BPlusTreeErasePrefixRandomized
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BPlusTreeErasePrefixRandomized, MatchesReferenceInterleaved) {
+  Random rng(GetParam());
+  BPlusTree tree;
+  std::set<RefEntry> ref;
+  for (int op = 0; op < 3000; ++op) {
+    const auto a = static_cast<int64_t>(rng.Uniform(60));
+    const double pick = rng.NextDouble();
+    if (pick < 0.5) {
+      RefInsert(&tree, &ref, a, static_cast<int64_t>(rng.Uniform(40)),
+                rng.Uniform(3));
+    } else if (pick < 0.53) {
+      // A burst under one leading key, so later erases span leaves.
+      const auto n = static_cast<int64_t>(rng.Uniform(400));
+      for (int64_t b = 0; b < n; ++b) RefInsert(&tree, &ref, a, b, 7);
+    } else if (pick < 0.9) {
+      const auto b = static_cast<int64_t>(rng.Uniform(40));
+      const uint64_t rid = rng.Uniform(3);
+      const bool expected = ref.erase({a, b, rid}) > 0;
+      ASSERT_EQ(tree.Erase(K2i(a, b), rid), expected) << "op " << op;
+    } else {
+      RefErasePrefix(&tree, &ref, a);
+      ASSERT_TRUE(SameContents(tree, ref)) << "op " << op;
+    }
+  }
+  ASSERT_TRUE(SameContents(tree, ref));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BPlusTreeErasePrefixRandomized,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // ---------------------------------------------------------------------------
 // Randomized differential test against std::multimap-like reference.

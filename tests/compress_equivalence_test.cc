@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,6 +27,7 @@
 #include "lineage/index_proj_lineage.h"
 #include "lineage/naive_lineage.h"
 #include "provenance/trace_store.h"
+#include "storage/segment.h"
 #include "testbed/gk_workflow.h"
 #include "testbed/pd_workflow.h"
 #include "testbed/synthetic.h"
@@ -451,6 +454,227 @@ TEST(CompressMaintenance, SealRunSealsExactlyThatRun) {
         {testbed::kListGen}));
     ASSERT_TRUE(answer.ok()) << run;
     EXPECT_EQ(answer->bindings.size(), 1u) << run;
+  }
+}
+
+/// `run`'s rows of one shard trace table, in rid order.
+std::vector<storage::Row> RunRowsInRidOrder(const storage::Database& db,
+                                            const std::string& table,
+                                            common::SymbolId run) {
+  const storage::Datum run_datum(static_cast<int64_t>(run));
+  std::vector<storage::Row> rows;
+  (*db.GetTable(table))
+      ->ForEachLiveRow([&](uint64_t, const storage::Row& row) {
+        if (row[0] == run_datum) rows.push_back(row);
+      });
+  return rows;
+}
+
+/// Run `from`'s trace re-addressed to the new run `to`, values
+/// re-interned under `to`, ready to be inserted in any order.
+struct RunCopy {
+  std::vector<provenance::XformRecord> xforms;
+  std::vector<provenance::XferRecord> xfers;
+};
+
+Result<RunCopy> CopyRun(provenance::TraceStore* store, const std::string& from,
+                        const std::string& to) {
+  PROVLIN_ASSIGN_OR_RETURN(std::string workflow, store->RunWorkflow(from));
+  PROVLIN_RETURN_IF_ERROR(store->InsertRun(to, workflow));
+  const common::SymbolId to_sym = store->Intern(to);
+  std::map<int64_t, int64_t> value_ids;
+  auto remap = [&](int64_t* v) -> Status {
+    if (*v < 0) return Status::OK();
+    auto it = value_ids.find(*v);
+    if (it == value_ids.end()) {
+      PROVLIN_ASSIGN_OR_RETURN(std::string repr, store->GetValueRepr(from, *v));
+      PROVLIN_ASSIGN_OR_RETURN(int64_t id, store->InternValue(to, repr));
+      it = value_ids.emplace(*v, id).first;
+    }
+    *v = it->second;
+    return Status::OK();
+  };
+  RunCopy copy;
+  PROVLIN_ASSIGN_OR_RETURN(copy.xforms, store->ScanXforms(from));
+  PROVLIN_ASSIGN_OR_RETURN(copy.xfers, store->ScanXfers(from));
+  for (provenance::XformRecord& rec : copy.xforms) {
+    rec.run = to_sym;
+    if (rec.has_in) PROVLIN_RETURN_IF_ERROR(remap(&rec.in_value));
+    if (rec.has_out) PROVLIN_RETURN_IF_ERROR(remap(&rec.out_value));
+  }
+  for (provenance::XferRecord& rec : copy.xfers) {
+    rec.run = to_sym;
+    PROVLIN_RETURN_IF_ERROR(remap(&rec.value_id));
+  }
+  return copy;
+}
+
+/// Both engines answer every query over `runs` exactly as the scan
+/// oracle does.
+void ExpectOracleAnswers(const Workbench& wb,
+                         const provenance::TraceStore* store,
+                         const std::vector<std::string>& runs,
+                         const std::string& tag) {
+  ScanOracle oracle(store);
+  NaiveLineage ni(store);
+  auto ip = IndexProjLineage::Create(wb.flow(), store);
+  ASSERT_TRUE(ip.ok());
+  for (const std::string& run : runs) {
+    for (int i = 0; i < 3; ++i) {
+      for (const Index& q : {Index({i}), Index({i, 2 - i})}) {
+        LineageRequest req = LineageRequest::SingleRun(
+            run, {kWorkflowProcessor, "RESULT"}, q, {testbed::kListGen});
+        auto want = oracle.Query(req);
+        ASSERT_TRUE(want.ok()) << want.status().ToString();
+        ASSERT_FALSE(want->empty()) << tag << " " << run << q.ToString();
+        for (const LineageEngine* engine :
+             {static_cast<const LineageEngine*>(&ni),
+              static_cast<const LineageEngine*>(&*ip)}) {
+          auto got = engine->Query(req);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          EXPECT_EQ(got->bindings, *want) << tag << " " << run << q.ToString();
+        }
+      }
+    }
+  }
+}
+
+TEST(CompressMaintenance, SealOfInterleavedRunIsByteIdenticalToBuild) {
+  TraceStoreOptions options;
+  options.shards = 1;
+  options.compress = CompressMode::kOff;
+  auto wb = std::move(*Workbench::Synthetic(3, options));
+  ASSERT_TRUE(wb->RunSynthetic(3, "a").ok());
+  ASSERT_TRUE(wb->RunSynthetic(4, "b").ok());
+  provenance::TraceStore* store = wb->store();
+  // Re-record a and b as x and y, alternating record by record, so the
+  // two runs' rids interleave throughout both trace tables.
+  auto x = CopyRun(store, "a", "x");
+  auto y = CopyRun(store, "b", "y");
+  ASSERT_TRUE(x.ok() && y.ok());
+  for (size_t i = 0; i < std::max(x->xforms.size(), y->xforms.size()); ++i) {
+    for (const RunCopy* copy : {&*x, &*y}) {
+      if (i >= copy->xforms.size()) continue;
+      ASSERT_TRUE(store->InsertXform(copy->xforms[i]).ok());
+    }
+  }
+  for (size_t i = 0; i < std::max(x->xfers.size(), y->xfers.size()); ++i) {
+    for (const RunCopy* copy : {&*x, &*y}) {
+      if (i >= copy->xfers.size()) continue;
+      ASSERT_TRUE(store->InsertXfer(copy->xfers[i]).ok());
+    }
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  ExpectOracleAnswers(*wb, store, {"x", "y"}, "hot");
+
+  // The reference: Segment::Build over x's rows in rid order.
+  const common::SymbolId x_sym = store->Intern("x");
+  struct Side {
+    const char* table;
+    storage::Segment::Kind kind;
+    std::string bytes;
+  };
+  Side sides[] = {{"xform#0", storage::Segment::Kind::kXform, {}},
+                  {"xfer#0", storage::Segment::Kind::kXfer, {}}};
+  for (Side& side : sides) {
+    auto seg = storage::Segment::Build(
+        side.kind, x_sym, RunRowsInRidOrder(*wb->db(), side.table, x_sym));
+    ASSERT_TRUE(seg.ok()) << seg.status().ToString();
+    side.bytes = seg->bytes();
+  }
+  auto expect_sealed_bytes = [&](const storage::Database& db,
+                                 const std::string& tag) {
+    for (const Side& side : sides) {
+      auto blob = db.GetBlob(std::string("segment/") + side.table + "/x");
+      ASSERT_NE(blob, nullptr) << tag << " " << side.table;
+      EXPECT_EQ(*blob, side.bytes) << tag << " " << side.table;
+    }
+  };
+
+  ASSERT_TRUE(store->SealRun("x").ok());
+  expect_sealed_bytes(*wb->db(), "sealed");
+  for (const char* table : {"xform#0", "xfer#0"}) {
+    EXPECT_TRUE(RunRowsInRidOrder(*wb->db(), table, x_sym).empty()) << table;
+    EXPECT_TRUE((*wb->db()->GetTable(table))->CheckIndexConsistency().ok());
+  }
+  ExpectOracleAnswers(*wb, store, {"x", "y"}, "sealed");
+
+  // Unseal (an image reopened with compression off decodes the segments
+  // back into the hot tables), reseal, and compare again.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/interleaved_seal.db";
+  ASSERT_TRUE(wb->db()->Save(path).ok());
+  storage::Database db;
+  ASSERT_TRUE(db.Load(path).ok());
+  std::remove(path.c_str());
+  auto reopened = provenance::TraceStore::Open(&db, options);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(reopened->ApproxMemory().sealed_rows, 0u);
+  EXPECT_TRUE(db.BlobKeys().empty());
+  ExpectOracleAnswers(*wb, &*reopened, {"x", "y"}, "unsealed");
+  ASSERT_TRUE(reopened->SealRun("x").ok());
+  expect_sealed_bytes(db, "resealed");
+  ExpectOracleAnswers(*wb, &*reopened, {"x", "y"}, "resealed");
+}
+
+TEST(CompressMaintenance, RefusedSealLeavesTheRunHot) {
+  // A layout-violating row on either side makes Segment::Build refuse
+  // the run. On the xfer side the xform rows were already taken and
+  // encoded when the refusal comes, so both sides must be put back.
+  for (const char* bad_table : {"xform#0", "xfer#0"}) {
+    TraceStoreOptions options;
+    options.shards = 1;
+    options.compress = CompressMode::kOff;
+    auto wb = std::move(*Workbench::Synthetic(3, options));
+    ASSERT_TRUE(wb->RunSynthetic(3, "h").ok());
+    provenance::TraceStore* store = wb->store();
+    ASSERT_TRUE(store->Flush().ok());
+    const auto run = static_cast<int64_t>(store->Intern("h"));
+    // A processor no query reaches, so only the seal ever reads the row.
+    const storage::IdPair stray{store->Intern("NOT_A_PROCESSOR"),
+                                store->Intern("p")};
+    storage::Row bad;
+    if (std::string(bad_table) == "xform#0") {
+      // An in-side with its pair set but its index null.
+      bad = {storage::Datum(run),          storage::Datum(int64_t{999}),
+             storage::Datum(stray),        storage::Datum::Null(),
+             storage::Datum(int64_t{0}),   storage::Datum::Null(),
+             storage::Datum::Null(),       storage::Datum::Null()};
+    } else {
+      bad = {storage::Datum(run),          storage::Datum(stray),
+             storage::Datum::Null(),       storage::Datum(stray),
+             storage::Datum(storage::IndexPath{0}), storage::Datum(int64_t{0})};
+    }
+    ASSERT_TRUE((*wb->db()->GetTable(bad_table))->Insert(bad).ok());
+
+    auto before = store->CountRecords("h");
+    ASSERT_TRUE(before.ok());
+    const auto tiers_before = store->ApproxMemory();
+    LineageRequest req = LineageRequest::SingleRun(
+        "h", {kWorkflowProcessor, "RESULT"}, Index({1, 2}),
+        {testbed::kListGen});
+    auto answer = wb->Naive().Query(req);
+    ASSERT_TRUE(answer.ok());
+    ASSERT_FALSE(answer->bindings.empty());
+
+    Status st = store->SealRun("h");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad_table;
+    EXPECT_NE(st.message().find("segment: malformed"), std::string::npos)
+        << st.ToString();
+
+    EXPECT_EQ(store->ApproxMemory().sealed_rows, 0u) << bad_table;
+    EXPECT_EQ(store->ApproxMemory().hot_rows, tiers_before.hot_rows);
+    EXPECT_TRUE(wb->db()->BlobKeys().empty()) << bad_table;
+    auto after = store->CountRecords("h");
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(after->xform_rows, before->xform_rows) << bad_table;
+    EXPECT_EQ(after->xfer_rows, before->xfer_rows) << bad_table;
+    for (const char* table : {"xform#0", "xfer#0"}) {
+      EXPECT_TRUE((*wb->db()->GetTable(table))->CheckIndexConsistency().ok());
+    }
+    auto again = wb->Naive().Query(req);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(again->bindings, answer->bindings) << bad_table;
   }
 }
 

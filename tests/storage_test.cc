@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "storage/hash_index.h"
 #include "storage/table.h"
 
@@ -189,6 +190,114 @@ TEST(Table, StatsCountAccessPaths) {
   (void)t.FullScan();
   EXPECT_EQ(t.stats().index_probes, 1u);
   EXPECT_EQ(t.stats().full_scans, 1u);
+}
+
+/// Process-wide access-path counters plus the calling thread's, for
+/// asserting that a maintenance path moves none of them.
+struct AccessPathSnapshot {
+  std::vector<uint64_t> values;
+
+  static AccessPathSnapshot Take() {
+    AccessPathSnapshot snap;
+    for (const char* name :
+         {"storage/index_probes", "storage/full_scans",
+          "storage/rows_examined", "storage/batched_probes",
+          "storage/descents"}) {
+      snap.values.push_back(common::metrics::GetCounter(name)->Value());
+    }
+    const ThreadStats& ts = ThisThreadStats();
+    for (uint64_t v : {ts.index_probes, ts.full_scans, ts.rows_examined,
+                       ts.batched_probes, ts.descents}) {
+      snap.values.push_back(v);
+    }
+    return snap;
+  }
+};
+
+TEST(Table, RemoveByLeadingKeyTakesOneRunInRidOrder) {
+  Table t("t", TestSchema());
+  ASSERT_TRUE(
+      t.CreateIndex({"by_proc", {"run", "proc", "idx"}, IndexType::kBTree})
+          .ok());
+  ASSERT_TRUE(t.CreateIndex({"by_val", {"run", "val"}, IndexType::kBTree}).ok());
+  // Three runs interleaved row by row, with index keys that run against
+  // insertion order, so neither index hands back rid order by itself.
+  std::vector<Row> expected;
+  std::vector<uint64_t> expected_rids;
+  for (int i = 0; i < 600; ++i) {
+    const std::string run = "r" + std::to_string(i % 3);
+    Row row{Datum(run), Datum("P" + std::to_string((600 - i) % 7)),
+            Datum(std::to_string(i % 11)), Datum(int64_t{1000 - i})};
+    auto rid = t.Insert(row);
+    ASSERT_TRUE(rid.ok());
+    if (run == "r1") {
+      expected.push_back(row);
+      expected_rids.push_back(*rid);
+    }
+  }
+  const TableStats before = t.stats();
+  const uint64_t deletes_before =
+      common::metrics::GetCounter("storage/deletes")->Value();
+  const AccessPathSnapshot paths_before = AccessPathSnapshot::Take();
+
+  auto removed = t.RemoveByLeadingKey(Datum("r1"));
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_EQ(*removed, expected);
+
+  // Deletes count exactly as n Delete calls would; nothing else moves.
+  const TableStats after = t.stats();
+  EXPECT_EQ(after.deletes, before.deletes + expected.size());
+  EXPECT_EQ(common::metrics::GetCounter("storage/deletes")->Value(),
+            deletes_before + expected.size());
+  EXPECT_EQ(after.index_probes, before.index_probes);
+  EXPECT_EQ(after.full_scans, before.full_scans);
+  EXPECT_EQ(after.rows_examined, before.rows_examined);
+  EXPECT_EQ(after.batched_probes, before.batched_probes);
+  EXPECT_EQ(after.descents, before.descents);
+  EXPECT_EQ(AccessPathSnapshot::Take().values, paths_before.values);
+
+  EXPECT_TRUE(t.CheckIndexConsistency().ok());
+  EXPECT_EQ(t.num_rows(), 400u);
+  EXPECT_EQ(t.num_slots(), 600u);
+  for (uint64_t rid : expected_rids) EXPECT_FALSE(t.Get(rid).ok()) << rid;
+  EXPECT_TRUE(t.IndexPrefixLookup("by_val", {Datum("r1")})->empty());
+  EXPECT_EQ(t.IndexPrefixLookup("by_proc", {Datum("r0")})->size(), 200u);
+  EXPECT_EQ(t.IndexPrefixLookup("by_val", {Datum("r2")})->size(), 200u);
+
+  // A key with no rows removes nothing.
+  auto none = t.RemoveByLeadingKey(Datum("r1"));
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
+  EXPECT_EQ(t.stats().deletes, after.deletes);
+}
+
+TEST(Table, RemoveByLeadingKeyNeedsRunLedBTrees) {
+  const Row row{Datum("r"), Datum("P"), Datum("i"), Datum(int64_t{0})};
+  {
+    Table t("no_index", TestSchema());
+    ASSERT_TRUE(t.Insert(row).ok());
+    EXPECT_EQ(t.RemoveByLeadingKey(Datum("r")).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    Table t("hashed", TestSchema());
+    ASSERT_TRUE(t.CreateIndex({"b", {"run", "proc"}, IndexType::kBTree}).ok());
+    ASSERT_TRUE(t.CreateIndex({"h", {"run"}, IndexType::kHash}).ok());
+    ASSERT_TRUE(t.Insert(row).ok());
+    EXPECT_EQ(t.RemoveByLeadingKey(Datum("r")).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(t.num_rows(), 1u);
+  }
+  {
+    Table t("proc_led", TestSchema());
+    ASSERT_TRUE(t.CreateIndex({"b", {"run", "proc"}, IndexType::kBTree}).ok());
+    ASSERT_TRUE(t.CreateIndex({"p", {"proc", "run"}, IndexType::kBTree}).ok());
+    ASSERT_TRUE(t.Insert(row).ok());
+    EXPECT_EQ(t.RemoveByLeadingKey(Datum("r")).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(t.num_rows(), 1u);
+    EXPECT_TRUE(t.CheckIndexConsistency().ok());
+  }
 }
 
 }  // namespace

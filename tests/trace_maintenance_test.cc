@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/metrics.h"
+#include "storage/table.h"
 #include "testbed/synthetic.h"
 #include "testbed/workbench.h"
 
@@ -53,6 +58,54 @@ TEST_F(TraceMaintenanceTest, DeleteRunMaintainsIndexConsistency) {
   for (const std::string& name : wb_->db()->TableNames()) {
     EXPECT_TRUE((*wb_->db()->GetTable(name))->CheckIndexConsistency().ok())
         << name;
+  }
+}
+
+/// Every access-path counter a query can move: each table's read-side
+/// TableStats, the process-wide storage/* mirrors, and this thread's
+/// ThreadStats.
+std::vector<uint64_t> AccessPathCounters(const storage::Database& db) {
+  std::vector<uint64_t> out;
+  for (const std::string& name : db.TableNames()) {
+    const storage::TableStats st = (*db.GetTable(name))->stats();
+    for (uint64_t v : {st.index_probes, st.full_scans, st.rows_examined,
+                       st.batched_probes, st.descents}) {
+      out.push_back(v);
+    }
+  }
+  for (const char* name :
+       {"storage/index_probes", "storage/full_scans", "storage/rows_examined",
+        "storage/batched_probes", "storage/descents"}) {
+    out.push_back(common::metrics::GetCounter(name)->Value());
+  }
+  const storage::ThreadStats& ts = storage::ThisThreadStats();
+  for (uint64_t v : {ts.index_probes, ts.full_scans, ts.rows_examined,
+                     ts.batched_probes, ts.descents}) {
+    out.push_back(v);
+  }
+  return out;
+}
+
+TEST_F(TraceMaintenanceTest, DeleteRunMovesNoAccessPathCounter) {
+  ASSERT_TRUE(wb_->store()->Flush().ok());
+  const std::vector<uint64_t> before = AccessPathCounters(*wb_->db());
+  auto removed = wb_->store()->DeleteRun("prune");
+  ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+  EXPECT_GT(*removed, 0u);
+  EXPECT_EQ(AccessPathCounters(*wb_->db()), before);
+  // An unknown run is refused without charging a probe either.
+  EXPECT_FALSE(wb_->store()->DeleteRun("ghost").ok());
+  EXPECT_EQ(AccessPathCounters(*wb_->db()), before);
+}
+
+TEST_F(TraceMaintenanceTest, RunRemovalRefusesHashIndexedTables) {
+  // runs and val are hash-indexed: a run's rows there are found row by
+  // row, never removed as one key range.
+  for (const char* name : {"runs#0", "val#0"}) {
+    auto table = wb_->db()->GetTable(name);
+    ASSERT_TRUE(table.ok()) << name;
+    auto removed = (*table)->RemoveByLeadingKey(storage::Datum("keep"));
+    EXPECT_EQ(removed.status().code(), StatusCode::kInvalidArgument) << name;
   }
 }
 

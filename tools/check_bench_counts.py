@@ -29,8 +29,14 @@ compression ratio >= 1 (sealed never larger than hot), the per-shard
 provenance/shard<k>/segments counters must form a gapless range
 starting at shard 0, and the segment_rows + hot_rows gauges must sum to
 provenance/rows_ingested — sealing moves rows between tiers, it never
-drops or duplicates them. (The gauge invariant assumes a single-store
-process, which every bench that emits these metrics is.)
+drops or duplicates them. Two checks pin the seal itself: every
+provenance/shard<k>/segment_bytes gauge must equal the baseline's
+exactly (the encoding is deterministic, so a seal that feeds the
+encoder other rows or another row order shows up as a byte change),
+and storage/deletes must equal the summed segment_rows gauges (each
+sealed row leaves the hot tier as exactly one counted delete). (The
+gauge invariants assume a single-store process that never deletes a
+run, which every bench that emits these metrics is.)
 """
 
 import argparse
@@ -82,7 +88,7 @@ def check_shard_counters(doc):
     return failures
 
 
-def check_compress_ratios(doc):
+def check_compress_ratios(doc, baseline_doc):
     """Returns a list of violations of the segment tier accounting."""
     failures = []
 
@@ -144,6 +150,37 @@ def check_compress_ratios(doc):
             f"metrics: segment_rows {segment_rows} + hot_rows {hot_rows} "
             f"!= provenance/rows_ingested {total}"
         )
+
+    # Sealed rows leave the hot tier as counted deletes, one each.
+    deletes = counters.get("storage/deletes")
+    if deletes is None:
+        failures.append("metrics: counter storage/deletes missing")
+    elif deletes != segment_rows:
+        failures.append(
+            f"metrics: storage/deletes {deletes} != segment_rows "
+            f"{segment_rows} (a seal deleted rows it did not encode)"
+        )
+
+    # Segment bytes are deterministic: same rows, same order, same bytes.
+    def segment_bytes(gauge_map):
+        return {
+            name: value
+            for name, value in gauge_map.items()
+            if re.fullmatch(r"provenance/shard\d+/segment_bytes", name)
+        }
+
+    base_gauges = ((baseline_doc.get("metrics") or {}).get("gauges")) or {}
+    base_bytes = segment_bytes(base_gauges)
+    cur_bytes = segment_bytes(gauges)
+    if not base_bytes:
+        failures.append("baseline: no provenance/shard<k>/segment_bytes gauges")
+    for name in sorted(set(base_bytes) | set(cur_bytes)):
+        if base_bytes.get(name) != cur_bytes.get(name):
+            failures.append(
+                f"metrics: {name} {base_bytes.get(name)} -> "
+                f"{cur_bytes.get(name)} (sealed segments are not "
+                "byte-identical to the baseline)"
+            )
     return failures
 
 
@@ -167,13 +204,16 @@ def main(argv):
         action="store_true",
         help="also validate the current emission's segment tier accounting: "
         "footprint compression ratio >= 1, gapless per-shard "
-        "provenance/shard<k>/segments counters, and segment_rows + hot_rows "
-        "gauges summing to provenance/rows_ingested",
+        "provenance/shard<k>/segments counters, segment_rows + hot_rows "
+        "gauges summing to provenance/rows_ingested, storage/deletes equal "
+        "to the segment_rows sum, and every segment_bytes gauge equal to "
+        "the baseline's",
     )
     args = parser.parse_args(argv)
 
     try:
-        bench, baseline = load_entries(load_doc(args.baseline))
+        baseline_doc = load_doc(args.baseline)
+        bench, baseline = load_entries(baseline_doc)
         current_doc = load_doc(args.current)
         _, current = load_entries(current_doc)
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as e:
@@ -184,7 +224,7 @@ def main(argv):
     if args.shard_counters:
         failures.extend(check_shard_counters(current_doc))
     if args.compress_ratios:
-        failures.extend(check_compress_ratios(current_doc))
+        failures.extend(check_compress_ratios(current_doc, baseline_doc))
     checked = 0
     for label, base in sorted(baseline.items()):
         if not base.get("deterministic", False):
