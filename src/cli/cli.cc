@@ -496,8 +496,8 @@ Status CmdLineage(const Args& args, std::ostream& out) {
 /// `stats --connect HOST:PORT`: scrape a live server's registry (and
 /// optionally its tracer ring) over the wire's STATS message instead of
 /// dumping this process's counters. The scrape is answered on the
-/// server's reader thread, so it works even while the dispatch queue is
-/// saturated.
+/// server's reader thread, so it works even while every worker is busy
+/// and admission is shedding.
 Status CmdStatsRemote(const Args& args, const std::string& connect,
                       std::ostream& out) {
   size_t colon = connect.rfind(':');
@@ -758,12 +758,9 @@ Status CmdServe(const Args& args, std::ostream& out) {
     }
     options.port = static_cast<uint16_t>(n);
   }
-  PROVLIN_RETURN_IF_ERROR(
-      ParseSizeFlag(args, "threads", &options.service.num_threads));
+  PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "threads", &options.threads));
   PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-queue",
                                         &options.max_queue));
-  PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-batch",
-                                        &options.max_batch));
   PROVLIN_RETURN_IF_ERROR(ParseSizeFlag(args, "max-connections",
                                         &options.max_connections));
   if (const std::string* slow = args.Get("slow-request-ms")) {
@@ -814,8 +811,8 @@ Status CmdServe(const Args& args, std::ostream& out) {
       });
   PROVLIN_RETURN_IF_ERROR(server.Start());
   out << "serving lineage on 127.0.0.1:" << server.port() << " ("
-      << options.service.num_threads << " workers, queue "
-      << options.max_queue << ", batch " << options.max_batch << ")\n";
+      << options.threads << " workers, queue " << options.max_queue
+      << ")\n";
   out.flush();
   // --port-file is how scripts and CI find an ephemeral --port 0: the
   // file appears only once the server is accepting.

@@ -38,20 +38,23 @@ namespace provlin::cli {
 ///            [--trace-out FILE.json]
 ///            EXPLAIN an IndexProj query: print the generated trace
 ///            queries with measured per-step costs (probes, descents,
-///            rows, bindings, wall time) from a single-probe execution.
+///            rows, bindings, wall time), each step executed once as
+///            one batched probe over every run in scope.
 ///   serve    --workflow W --db FILE [--port N] [--port-file FILE]
 ///            [--threads N] [--shards N] [--async-ingest true]
-///            [--max-queue N] [--max-batch N] [--max-connections N]
+///            [--max-queue N] [--max-connections N]
 ///            [--slow-request-ms N] [--slow-log FILE]
 ///            [--slow-log-max-bytes N] [--trace true] [--stats true]
 ///            Serve lineage queries over loopback TCP (DESIGN.md §12):
 ///            length-prefixed wire-protocol frames carrying versioned
 ///            LineageRequest envelopes, answered by both engines
-///            ("naive", "indexproj" — the request names one) through a
-///            shared concurrent LineageService. --port 0 (default)
-///            binds an ephemeral port; --port-file writes the bound
-///            port once the server is accepting. A full request queue
-///            sheds load with typed OVERLOADED responses.
+///            ("naive", "indexproj" — the request names one) on a
+///            shared --threads N worker pool (default 4); the worker
+///            that runs a request writes its answer at once. --port 0
+///            (default) binds an ephemeral port; --port-file writes the
+///            bound port once the server is accepting. Once --max-queue
+///            N requests (default 256) are in flight, further requests
+///            are shed with typed OVERLOADED responses.
 ///            --slow-request-ms N appends a structured JSON-lines record
 ///            (phase timeline, shard fan-out, probe counts, EXPLAIN
 ///            payload — DESIGN.md §14) for every served request at or
@@ -69,8 +72,8 @@ namespace provlin::cli {
 ///            gauges (tracing/ring_events, ring_dropped). With
 ///            --connect the registry of a *live server* is scraped over
 ///            the wire's STATS message instead (answered on the
-///            server's reader thread, so it works under dispatch
-///            saturation); --trace-out additionally pulls the server's
+///            server's reader thread, so it works when every worker is
+///            busy); --trace-out additionally pulls the server's
 ///            tracer ring as Chrome trace-event JSON.
 ///   sql      --db FILE "SELECT ..."
 ///            Run a SQL query against the trace database. Tables are

@@ -32,8 +32,8 @@ enum class LockRank : uint32_t {
   //     anything below; DESIGN.md §12 lock inventory). ---
   /// LineageServer::conns_mu_ — live-connection list.
   kServerConnections = 100,
-  /// LineageServer::queue_mu_ — admission-controlled dispatch queue.
-  kServerQueue = 110,
+  /// LineageServer::admission_mu_ — count of requests in flight.
+  kServerAdmission = 110,
   /// LineageServer::Connection::write_mu — per-connection response
   /// frame serialization.
   kServerConnWrite = 120,
@@ -43,7 +43,7 @@ enum class LockRank : uint32_t {
   // --- Service tier (DESIGN.md §10). ---
   /// LineageService::ExecuteBatch's stack-local batch-completion latch.
   kServiceBatchLatch = 200,
-  /// LineageService::metrics_mu_ — end-of-batch accumulation.
+  /// LineageService::metrics_mu_ — per-response accumulation.
   kServiceMetrics = 210,
   /// tools/loadgen per-connection intended-send-time map (client side
   /// of the serving path; never held with server-process locks).
@@ -113,8 +113,8 @@ constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kServerConnections:
       return "server.conns_mu";
-    case LockRank::kServerQueue:
-      return "server.queue_mu";
+    case LockRank::kServerAdmission:
+      return "server.admission_mu";
     case LockRank::kServerConnWrite:
       return "server.connection.write_mu";
     case LockRank::kServerSlowLog:

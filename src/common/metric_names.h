@@ -101,7 +101,6 @@ inline constexpr std::string_view kLatencyHistogramNames[] = {
     "server/request_ms",
     // per-phase served-request decomposition (DESIGN.md §14)
     "server/queue_ms",
-    "server/dispatch_ms",
     "server/execute_ms",
     "server/serialize_ms",
     "server/write_ms",
@@ -110,7 +109,6 @@ inline constexpr std::string_view kLatencyHistogramNames[] = {
 /// Size histograms (DefaultSizeBounds buckets).
 inline constexpr std::string_view kSizeHistogramNames[] = {
     "storage/multiseek_batch_size",
-    "server/batch_size",
 };
 
 /// Names owned by tools/loadgen — not pre-registered by the CLI (a

@@ -90,8 +90,8 @@ struct LineageTiming {
   /// *logical* probes — batching never changes it.
   uint64_t trace_probes = 0;
   /// Physical B+-tree root-to-leaf descents behind those probes. Batched
-  /// execution amortizes descents across sorted probes, so this drops
-  /// below trace_probes; single-probe execution pays one per probe.
+  /// execution amortizes descents across sorted probes, so this can drop
+  /// below trace_probes.
   uint64_t trace_descents = 0;
   /// Nodes visited on the graph being traversed (provenance graph for
   /// NI, specification graph for IndexProj).

@@ -54,8 +54,8 @@ class LineageClient {
       bool want_timeline = false);
 
   /// Synchronous STATS scrape: asks the server for a metrics
-  /// snapshot and/or its tracer ring without touching the dispatch
-  /// queue. `want` is a bitmask of wire::kStatsWantMetrics /
+  /// snapshot and/or its tracer ring without taking an admission
+  /// slot. `want` is a bitmask of wire::kStatsWantMetrics /
   /// kStatsWantTrace. Must not be interleaved with pipelined Send()s
   /// that still have responses in flight — the scrape reply would
   /// arrive out of band.

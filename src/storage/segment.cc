@@ -887,7 +887,7 @@ Status DecodeRowBlockInto(const Segment::Rep& rep, size_t b,
         uint8_t byte;
         if (!d.U8(&byte)) return Status::Internal("segment: bitmap decode");
         for (size_t bit = 0; bit < 8 && i * 8 + bit < n; ++bit) {
-          bool set = (byte >> bit) & 1u;
+          bool set = ((static_cast<unsigned>(byte) >> bit) & 1u) != 0;
           flags[i * 8 + bit] = set;
           if (set) ++tally;
         }

@@ -2,6 +2,7 @@
 #define PROVLIN_VALUES_VALUE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -19,11 +20,16 @@ class Value {
   Value() : kind_(Kind::kAtom) {}
   explicit Value(Atom atom) : kind_(Kind::kAtom), atom_(std::move(atom)) {}
 
-  /// Convenience atom constructors.
-  static Value Str(std::string s) { return Value(Atom(std::move(s))); }
-  static Value Int(int64_t v) { return Value(Atom(v)); }
-  static Value Dbl(double v) { return Value(Atom(v)); }
-  static Value Boolean(bool v) { return Value(Atom(v)); }
+  /// Convenience atom constructors. Each builds its atom in place:
+  /// moving a temporary Atom in makes GCC 12 report a false
+  /// -Wmaybe-uninitialized under -fsanitize (the variant move visits
+  /// every alternative).
+  static Value Str(std::string s) {
+    return Value(std::in_place, std::move(s));
+  }
+  static Value Int(int64_t v) { return Value(std::in_place, v); }
+  static Value Dbl(double v) { return Value(std::in_place, v); }
+  static Value Boolean(bool v) { return Value(std::in_place, v); }
   static Value Null() { return Value(); }
   /// An error token (possibly wrapped later to match a declared depth).
   static Value Error(std::string message) {
@@ -79,6 +85,9 @@ class Value {
 
  private:
   enum class Kind { kAtom, kList };
+
+  template <typename T>
+  Value(std::in_place_t, T v) : kind_(Kind::kAtom), atom_(std::move(v)) {}
 
   Kind kind_;
   Atom atom_;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/metrics.h"
 #include "common/tracing.h"
 #include "provenance/trace_store.h"
 #include "storage/wal.h"
@@ -31,6 +32,16 @@ class CliTest : public ::testing::Test {
       std::remove(storage::ShardWalPath(wal_path_, k).c_str());
     }
     std::remove(storage::WalManifestPath(wal_path_).c_str());
+  }
+
+  // Tests read absolute values from the process-wide registry and the
+  // tracer ring's gauges, so each starts from zero however many tests
+  // ran before it in this process. Enable() clears the ring; the
+  // capture stays off.
+  void SetUp() override {
+    common::metrics::MetricsRegistry::Global().Reset();
+    common::tracing::Tracer::Global().Enable();
+    common::tracing::Tracer::Global().Disable();
   }
 
   int Run(std::vector<std::string> args) {
